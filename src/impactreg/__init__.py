@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND_NAME, get_backend
+from .backend import BACKEND_NAME
 from .dataset import Dataset
 from .errors import ImpactregError
 from .hierarchy import (HierarchyResult, fixed_sequence_test,
@@ -23,7 +23,7 @@ from .simulate import SimConfig, SimReport, generate_dataset, run_study, \
 from .transforms import TransformSpec, apply_transforms, read_csv, write_csv
 
 __all__ = [
-    "BACKEND_NAME", "get_backend", "Dataset", "ImpactregError",
+    "BACKEND_NAME", "Dataset", "ImpactregError",
     "HierarchyResult", "fixed_sequence_test", "order_covariates",
     "run_hierarchy", "ImpactEstimate", "linear_mean_impact",
     "linear_mean_slope", "mod_r2", "partial_linear_mean_impact",

@@ -18,12 +18,11 @@ import re
 import sys
 
 import numpy as np
-from scipy import stats as sps
 
 from . import __version__
 from .errors import (DegenerateCovariate, EmptyAfterExclusion, EmptySupport,
-                     ImpactregError, InvalidConfig, NonFinite,
-                     NonPositiveLogInput, OutOfRange, ParseError,
+                     ImpactregError, InvalidConfig, InvariantViolation,
+                     NonFinite, NonPositiveLogInput, OutOfRange, ParseError,
                      RankDeficient, SchemaMismatch, SingularMoments,
                      UnknownColumn, ZeroStdError)
 from .hierarchy import run_hierarchy
@@ -42,7 +41,7 @@ _DATA_ERRORS = (ParseError, SchemaMismatch, UnknownColumn, InvalidConfig,
                 json.JSONDecodeError, KeyError, ValueError)
 _NUMERICAL_ERRORS = (RankDeficient, DegenerateCovariate, ZeroStdError,
                      SingularMoments, NonFinite, EmptySupport,
-                     np.linalg.LinAlgError)
+                     InvariantViolation, np.linalg.LinAlgError)
 
 
 def _write_text(path, text):
@@ -175,7 +174,9 @@ def _cmd_simulate(args):
         if value is not None:
             kwargs[name] = value
     config = SimConfig(**kwargs)
-    threads = args.threads or int(os.environ.get("IMPACTREG_THREADS", "1"))
+    threads = args.threads
+    if threads is None:
+        threads = int(os.environ.get("IMPACTREG_THREADS", "1"))
     report = run_study(config, threads=threads)
 
     if args.format == "json":
@@ -201,6 +202,8 @@ _DIST_RE = re.compile(r"^\s*(normal|exp)\s*[:(]\s*([^)]*?)\s*\)?\s*$")
 
 
 def _parse_dist(text):
+    from scipy import stats as sps  # costs about half of the package import
+
     m = _DIST_RE.match(text)
     if not m:
         raise InvalidConfig(f"cannot parse distribution {text!r}")

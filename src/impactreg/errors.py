@@ -29,6 +29,10 @@ class ZeroStdError(ImpactregError):
     pass
 
 
+class InvariantViolation(ImpactregError):
+    """Two routes to the same quantity disagree beyond rounding."""
+
+
 class UnknownColumn(ImpactregError):
     def __init__(self, column):
         self.column = column

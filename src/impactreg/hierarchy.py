@@ -53,9 +53,9 @@ def _abs_corr(v, M):
     return r
 
 
-def _ols(X, y):
+def _ols(X, y, hc1=False):
     coef, resid, xtx_inv, classical, sandwich, rank, piv = backend.ols_sandwich(
-        X, y, RANK_TOL, False)
+        X, y, RANK_TOL, hc1)
     if coef is None:
         raise RankDeficient(int(piv[rank]))
     return coef, resid, sandwich
@@ -142,14 +142,12 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
         else:
             n_adjust = step + 1
         X = np.column_stack([ones, x_focus, ordered[:, :n_adjust]])
-        coef, resid, sandwich = _ols(X, y)
+        coef, resid, sandwich = _ols(X, y, hc1)
         var = sandwich[1, 1]
         se = np.sqrt(var) if var > 0 else 0.0
         if se < 1e-14:
             raise ZeroStdError("degenerate robust standard error in hierarchy")
         stat = coef[1] / se
-        if hc1:
-            stat /= np.sqrt(n / (n - X.shape[1]))
         p = two_sided_pvalue(stat, n - X.shape[1], reference)
         pvalues[step] = p
         if p <= alpha:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateCovariate, DimensionMismatch, ZeroStdError
+from .errors import (DegenerateCovariate, DimensionMismatch,
+                     InvariantViolation, ZeroStdError)
 from .regression import CoefficientTest, fit_ols, coefficient_test, residualize
 
 
@@ -110,20 +111,14 @@ def linear_mean_slope(y, x, signed=False, target="y", focus="x",
                           focus=focus, test=test)
 
 
-def partial_linear_mean_impact(y_col, focus, adjust, data: Dataset,
-                               flavor="HC0", reference="student_t"):
-    """Linear mean impact of the residualized focus covariate on y.
+def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
+    """Residualize the focus, check its spread, fit y on focus + adjust.
 
-    The attached test is White's robust test of the focus coefficient in
-    the multiple regression of y on focus + adjust; the two routes agree
-    by construction and the agreement is asserted.
+    Returns ``(y, x_res, sd(x_res), focus coefficient, focus test)``.
     """
-    adjust = tuple(adjust)
     y = data.column(y_col)
     x_res = residualize(focus, adjust, data)
     sx = _check_spread(x_res, f"residualized {focus!r}")
-    value = abs(cov_n(y, x_res)) / sx
-
     X = np.column_stack([np.ones(data.n), data.column(focus),
                          data.columns(adjust)])
     fit = fit_ols(y, X, column_names=("intercept", focus, *adjust),
@@ -132,10 +127,25 @@ def partial_linear_mean_impact(y_col, focus, adjust, data: Dataset,
         test = coefficient_test(fit, 1, reference)
     except ZeroStdError:
         test = None
+    return y, x_res, sx, float(fit.coefficients[1]), test
+
+
+def partial_linear_mean_impact(y_col, focus, adjust, data: Dataset,
+                               flavor="HC0", reference="student_t"):
+    """Linear mean impact of the residualized focus covariate on y.
+
+    The attached test is White's robust test of the focus coefficient in
+    the multiple regression of y on focus + adjust; the two routes agree
+    by construction, and ``InvariantViolation`` is raised if they do not.
+    """
+    adjust = tuple(adjust)
+    y, x_res, sx, coef, test = _partial_fit(y_col, focus, adjust, data,
+                                            flavor, reference)
+    value = abs(cov_n(y, x_res)) / sx
     # Frisch-Waugh identity: |coef| * SD(residualized focus) == impact
-    coef = float(fit.coefficients[1])
-    assert abs(abs(coef) * sx - value) <= 1e-8 * (value + 1e-8), \
-        "partial impact and multiple-regression routes disagree"
+    if not abs(abs(coef) * sx - value) <= 1e-8 * (value + 1e-8):
+        raise InvariantViolation(
+            "partial impact and multiple-regression routes disagree")
     return ImpactEstimate(kind="partial_linear_impact", value=value,
                           target=y_col, focus=focus, adjusted_for=adjust,
                           test=test)
@@ -146,18 +156,8 @@ def partial_linear_mean_slope(y_col, focus, adjust, data: Dataset,
                               reference="student_t"):
     """Multiple-regression coefficient of focus (absolute unless signed)."""
     adjust = tuple(adjust)
-    y = data.column(y_col)
-    x_res = residualize(focus, adjust, data)
-    _check_spread(x_res, f"residualized {focus!r}")
-    X = np.column_stack([np.ones(data.n), data.column(focus),
-                         data.columns(adjust)])
-    fit = fit_ols(y, X, column_names=("intercept", focus, *adjust),
-                  flavor=flavor)
-    try:
-        test = coefficient_test(fit, 1, reference)
-    except ZeroStdError:
-        test = None
-    coef = float(fit.coefficients[1])
+    _, _, _, coef, test = _partial_fit(y_col, focus, adjust, data, flavor,
+                                       reference)
     value = coef if signed else abs(coef)
     return ImpactEstimate(kind="partial_linear_slope", value=value,
                           target=y_col, focus=focus, adjusted_for=adjust,

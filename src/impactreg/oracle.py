@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateCovariate, DimensionMismatch, EmptySupport,
-                     OutOfRange, SingularMoments)
+                     InvariantViolation, OutOfRange, SingularMoments)
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,8 @@ def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
         capped = np.minimum(d_minus, float(n))
         eta = float(np.dot(w, capped)) / e_plus if e_plus > 0 else 1.0
         delta = (eta * d_plus - capped) / n
-        assert np.all(delta >= -1.0 - 1e-12), "delta_n must stay >= -1"
+        if not np.all(delta >= -1.0 - 1e-12):
+            raise InvariantViolation("delta_n must stay >= -1")
         sd = math.sqrt(max(float(np.dot(w, delta ** 2))
                            - float(np.dot(w, delta)) ** 2, 0.0))
         if sd <= 0.0:
@@ -216,7 +217,9 @@ def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
         best = max(best, ratio)
     if best == -math.inf:
         return 0.0, iota
-    assert best <= iota + 1e-12 * max(1.0, iota)
+    if not best <= iota + 1e-12 * max(1.0, iota):
+        raise InvariantViolation(
+            f"constrained supremum {best!r} exceeds the mean impact {iota!r}")
     return best, iota
 
 

@@ -1,9 +1,9 @@
 """Least-squares fitting with classical and Huber-White sandwich covariance.
 
 The computational substrate for the impact estimators, the hierarchical
-testing procedure and the simulation harness.  All solves go through a
-column-pivoted QR factorization (see :mod:`impactreg.backend`); normal
-equations are never formed.
+testing procedure and the simulation harness.  Every solve goes through
+the column-pivoted QR kernel :func:`impactreg.backend.ols_sandwich`;
+normal equations are never formed.
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ def _validate(y, X):
     return y, X
 
 
+def _check_flavor(flavor):
+    if flavor not in ("HC0", "HC1"):
+        raise ValueError(f"unknown sandwich flavor {flavor!r}")
+
+
 def fit_ols(y, X, column_names=None, flavor="HC0"):
     """Fit y on the design X (leading intercept column by convention).
 
@@ -89,8 +94,7 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
     """
     y, X = _validate(y, X)
     n, p = X.shape
-    if flavor not in ("HC0", "HC1"):
-        raise ValueError(f"unknown sandwich flavor {flavor!r}")
+    _check_flavor(flavor)
     if column_names is None:
         column_names = tuple(f"x{j}" for j in range(p))
     else:
@@ -116,17 +120,10 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
 def sandwich_covariance(fit: FitResult, X, flavor="HC0"):
     """(X'X)^-1 X' diag(e_i^2) X (X'X)^-1, times n/(n-p) for HC1."""
     X = np.ascontiguousarray(X, dtype=float)
-    n, p = X.shape
-    if n != fit.n or p != fit.p:
+    if X.shape != (fit.n, fit.p):
         raise DimensionMismatch("X does not match the fitted model")
-    e2 = fit.residuals ** 2
-    meat = (X * e2[:, None]).T @ X
-    cov = fit.xtx_inv @ meat @ fit.xtx_inv
-    if flavor == "HC1":
-        cov *= n / (n - p)
-    elif flavor != "HC0":
-        raise ValueError(f"unknown sandwich flavor {flavor!r}")
-    return 0.5 * (cov + cov.T)
+    _check_flavor(flavor)
+    return backend.sandwich(X, fit.residuals, fit.xtx_inv, flavor == "HC1")
 
 
 def coefficient_test(fit: FitResult, index: int, reference="student_t"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InvalidConfig
+from .errors import ImpactregError, InvalidConfig
 from .hierarchy import hierarchy_pvalues, order_indices
 from .regression import fit_ols, coefficient_test
 
@@ -169,7 +169,7 @@ def _replicate(config: SimConfig, replication_index: int):
         test = coefficient_test(fit, 1, config.reference)
         reject_full = test.p_value <= config.alpha
         return false_reject, confounders, final_reject, reject_full, False
-    except Exception:
+    except (ImpactregError, np.linalg.LinAlgError):
         return False, 0, False, False, True
 
 
@@ -179,6 +179,8 @@ def _replicate_chunk(config: SimConfig, indices):
 
 def run_study(config: SimConfig, threads: int = 1) -> SimReport:
     """Run all replications and aggregate; deterministic given the seed."""
+    if threads < 1:
+        raise InvalidConfig(f"need threads >= 1, got {threads}")
     start = time.perf_counter()
     reps = config.replications
     if threads > 1:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -157,6 +159,18 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag, env", [
+        (["--threads", "0"], "1"), (["--threads", "-2"], "1"),
+        ([], "0"), ([], "-2"),
+    ])
+    def test_thread_count_below_one_exit_2(self, flag, env, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("IMPACTREG_THREADS", env)
+        code = run(["simulate", "--m", "5", "--k", "4", "--n", "100",
+                    "--reps", "2", *flag])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run(["simulate", "--m", "5", "--k", "4", "--n", "100",
@@ -238,3 +252,11 @@ class TestOracleCheck:
         path = tmp_path / "j.json"
         path.write_text(json.dumps(joint))
         assert run(["oracle-check", "--joint", str(path)]) == 3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, impactreg.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

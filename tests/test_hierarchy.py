@@ -221,3 +221,19 @@ class TestHierarchyPvalues:
                                   hc1=True)
         for a, b in zip(p0, p1):
             assert b >= a
+
+    def test_hc1_step_pvalues_match_hc1_fit(self):
+        # one HC1 convention: each step p-value is the HC1 robust test of
+        # the focus coefficient in the full fit of that step
+        rng = np.random.default_rng(9)
+        n = 60
+        ordered = rng.standard_normal((n, 3))
+        x1 = ordered @ [1.0, 0.5, -0.3] + rng.standard_normal(n)
+        y = x1 + ordered[:, 0] ** 2 + np.exp(x1 / 2) * rng.standard_normal(n)
+        pvalues, _ = hierarchy_pvalues(y, x1, ordered, alpha=1.0 - 1e-12,
+                                       include_bivariate=True, hc1=True)
+        assert None not in pvalues
+        for step, p in enumerate(pvalues):
+            X = np.column_stack([np.ones(n), x1, ordered[:, :step]])
+            expected = coefficient_test(fit_ols(y, X, flavor="HC1"), 1).p_value
+            assert p == pytest.approx(expected, rel=1e-12)

@@ -4,7 +4,9 @@ import pytest
 from impactreg import (linear_mean_impact, linear_mean_slope, mod_r2,
                        partial_linear_mean_impact, partial_linear_mean_slope)
 from impactreg.dataset import Dataset
-from impactreg.errors import DegenerateCovariate, DimensionMismatch
+from impactreg import impact
+from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
+                              InvariantViolation)
 from impactreg.impact import cov_n, sd_n
 
 
@@ -103,6 +105,18 @@ class TestPartialImpact:
         assert d["kind"] == "partial_linear_impact"
         assert d["adjusted_for"] == ["x2"]
         assert 0.0 <= d["test"]["p_value"] <= 1.0
+
+
+    def test_route_disagreement_raises_typed_error(self, monkeypatch):
+        # a wrong residual breaks the Frisch-Waugh cross-check; the check
+        # is code, not an assert, so it also holds under python -O
+        data = self.random_data(10)
+        residualize = impact.residualize
+        monkeypatch.setattr(
+            impact, "residualize",
+            lambda *args: 2.0 * residualize(*args) + 0.1 * data.column("x3"))
+        with pytest.raises(InvariantViolation):
+            partial_linear_mean_impact("y", "x1", ["x2"], data)
 
 
 class TestMod:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from impactreg import fit_ols, coefficient_test, residualize, sandwich_covariance
+from impactreg import (backend, fit_ols, coefficient_test, residualize,
+                       sandwich_covariance)
 from impactreg.dataset import Dataset
 from impactreg.errors import (DimensionMismatch, NonFinite, RankDeficient,
                               UnknownColumn, ZeroStdError)
@@ -211,3 +212,97 @@ class TestInvariants:
         t2 = coefficient_test(fit2, 1)
         assert t2.statistic == pytest.approx(t1.statistic, rel=1e-8)
         assert t2.p_value == pytest.approx(t1.p_value, abs=1e-8)
+
+
+class TestKernelDifferential:
+    """``backend.ols_sandwich`` against independent NumPy references."""
+
+    @staticmethod
+    def random_problem(seed, n=60, p=4):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        y = X @ rng.standard_normal(p) + np.exp(X[:, 1]) * rng.standard_normal(n)
+        return X, y
+
+    @staticmethod
+    def reference(X, y, hc1):
+        """lstsq fit and the explicit (X'X)^-1 X' diag(e^2) X (X'X)^-1."""
+        n, p = X.shape
+        coef = np.linalg.lstsq(X, y, rcond=None)[0]
+        resid = y - X @ coef
+        bread = np.linalg.inv(X.T @ X)
+        cov = bread @ X.T @ np.diag(resid ** 2) @ X @ bread
+        return coef, resid, bread, cov * (n / (n - p) if hc1 else 1.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("hc1", [False, True])
+    def test_heteroskedastic_designs(self, seed, hc1):
+        X, y = self.random_problem(seed)
+        coef, resid, xtx_inv, classical, cov, rank, _ = backend.ols_sandwich(
+            X, y, 1e-10, hc1)
+        ref_coef, ref_resid, ref_bread, ref_cov = self.reference(X, y, hc1)
+        assert rank == X.shape[1]
+        np.testing.assert_allclose(coef, ref_coef, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(resid, ref_resid, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(xtx_inv, ref_bread, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-10, atol=1e-14)
+        dof = X.shape[0] - X.shape[1]
+        np.testing.assert_allclose(classical, ref_bread * (resid @ resid) / dof,
+                                   rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("hc1", [False, True])
+    def test_column_scaled_by_1e8(self, hc1):
+        # rescaling a column must keep the rank full and be undone exactly
+        # by rescaling its coefficient and covariance rows
+        X, y = self.random_problem(1)
+        scale = np.ones(X.shape[1])
+        scale[2] = 1e8
+        coef, _, xtx_inv, _, cov, rank, _ = backend.ols_sandwich(
+            X * scale, y, 1e-10, hc1)
+        ref_coef, _, ref_bread, ref_cov = self.reference(X, y, hc1)
+        assert rank == X.shape[1]
+        np.testing.assert_allclose(coef * scale, ref_coef, rtol=1e-10)
+        outer = np.outer(scale, scale)
+        np.testing.assert_allclose(xtx_inv * outer, ref_bread, rtol=1e-10,
+                                   atol=1e-14)
+        np.testing.assert_allclose(cov * outer, ref_cov, rtol=1e-10,
+                                   atol=1e-14)
+
+    def test_near_collinear_design(self):
+        # cond(X) ~ 2e6, so the explicit inverse of X'X is itself off by
+        # ~cond(X)^2 * eps; the reference uses the pseudo-inverse instead,
+        # (X'X)^-1 X' = pinv(X).  The kernel's sandwich multiplies the
+        # bread out explicitly and carries the same cond(X)^2 * eps error.
+        rng = np.random.default_rng(3)
+        n = 200
+        x1 = rng.standard_normal(n)
+        x2 = x1 + 1e-6 * rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x1, x2, rng.standard_normal(n)])
+        y = x1 + x2 + np.exp(x1) * rng.standard_normal(n)
+        coef, resid, xtx_inv, _, cov, rank, _ = backend.ols_sandwich(
+            X, y, 1e-10, False)
+        assert rank == X.shape[1]
+        ref_coef = np.linalg.lstsq(X, y, rcond=None)[0]
+        pinv = np.linalg.pinv(X)
+        np.testing.assert_allclose(coef, ref_coef, rtol=1e-8)
+        np.testing.assert_allclose(resid, y - X @ ref_coef, atol=1e-8)
+        ref_bread = pinv @ pinv.T
+        np.testing.assert_allclose(xtx_inv, ref_bread,
+                                   atol=1e-10 * np.abs(ref_bread).max())
+        ref_cov = pinv @ np.diag(resid ** 2) @ pinv.T
+        bound = 10 * np.linalg.cond(X) ** 2 * np.finfo(float).eps
+        assert np.abs(cov - ref_cov).max() <= bound * np.abs(ref_cov).max()
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(30)
+        X = np.column_stack([np.ones(30), x, 2 * x - 1])
+        y = x + rng.standard_normal(30)
+        *matrices, rank, piv = backend.ols_sandwich(X, y, 1e-10, False)
+        assert all(m is None for m in matrices)
+        assert rank == 2
+        # piv[rank] lies in the span of the columns kept before it
+        kept = X[:, piv[:rank]]
+        dependent = X[:, piv[rank]]
+        fitted = kept @ np.linalg.lstsq(kept, dependent, rcond=None)[0]
+        np.testing.assert_allclose(fitted, dependent, atol=1e-10)

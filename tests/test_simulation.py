@@ -5,6 +5,7 @@ import pytest
 
 from impactreg import SimConfig, generate_dataset, run_study, \
     slope_identity_check
+from impactreg import simulate
 from impactreg.errors import InvalidConfig
 from impactreg.simulate import TABLE_BETA, generate_arrays
 
@@ -126,6 +127,20 @@ class TestRunStudy:
         rep = run_study(cfg)
         assert rep.reject_final_hier > 0.9
         assert rep.mean_confounders_hier > 3.5
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(InvalidConfig):
+            run_study(SimConfig(n=50, replications=2, seed=14),
+                      threads=threads)
+
+    def test_unexpected_error_is_raised_not_counted(self, monkeypatch):
+        def broken(config, replication_index):
+            raise TypeError("bug in the generator")
+
+        monkeypatch.setattr(simulate, "generate_arrays", broken)
+        with pytest.raises(TypeError):
+            run_study(SimConfig(n=50, replications=2, seed=15), threads=1)
 
     def test_table_beta_presets(self):
         assert TABLE_BETA == {5: 1.00, 8: 0.75, 10: 0.65, 20: 0.45, 50: 0.30}

@@ -17,7 +17,7 @@ from .oracle import (DiscreteJoint, PopulationParams,
                      population_params, population_theta,
                      quadratic_slope_closed_form)
 from .regression import (CoefficientTest, FitResult, coefficient_test,
-                         fit_ols, residualize, sandwich_covariance)
+                         fit_ols, residualize)
 from .simulate import SimConfig, SimReport, generate_dataset, run_study, \
     slope_identity_check
 from .transforms import TransformSpec, apply_transforms, read_csv, write_csv
@@ -33,7 +33,7 @@ __all__ = [
     "exact_partial_linear_impact", "exact_partial_mean_impact",
     "population_params", "population_theta", "quadratic_slope_closed_form",
     "CoefficientTest", "FitResult", "coefficient_test", "fit_ols",
-    "residualize", "sandwich_covariance", "SimConfig", "SimReport",
+    "residualize", "SimConfig", "SimReport",
     "generate_dataset", "run_study", "slope_identity_check",
     "TransformSpec", "apply_transforms", "read_csv", "write_csv",
 ]

@@ -38,7 +38,7 @@ SCHEMA_VERSION = 1
 _DATA_ERRORS = (ParseError, SchemaMismatch, UnknownColumn, InvalidConfig,
                 OutOfRange, EmptyAfterExclusion, NonPositiveLogInput,
                 FileNotFoundError, IsADirectoryError, PermissionError,
-                json.JSONDecodeError, KeyError, ValueError)
+                UnicodeDecodeError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (RankDeficient, DegenerateCovariate, ZeroStdError,
                      SingularMoments, NonFinite, EmptySupport,
                      InvariantViolation, np.linalg.LinAlgError)
@@ -64,6 +64,13 @@ def _csv_rows(header, rows):
                             (format(v, ".17g") if isinstance(v, float) else str(v))
                             for v in row))
     return "\n".join(out) + "\n"
+
+
+def _number(text, what, convert=float):
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidConfig(f"cannot parse {what} {text!r}") from None
 
 
 def _load_dataset(args):
@@ -176,7 +183,8 @@ def _cmd_simulate(args):
     config = SimConfig(**kwargs)
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("IMPACTREG_THREADS", "1"))
+        threads = _number(os.environ.get("IMPACTREG_THREADS", "1"),
+                          "IMPACTREG_THREADS", int)
     report = run_study(config, threads=threads)
 
     if args.format == "json":
@@ -208,7 +216,8 @@ def _parse_dist(text):
     if not m:
         raise InvalidConfig(f"cannot parse distribution {text!r}")
     name = m.group(1)
-    params = [float(v) for v in m.group(2).split(",") if v.strip()]
+    params = [_number(v, "distribution parameter")
+              for v in m.group(2).split(",") if v.strip()]
     if name == "normal":
         if len(params) != 2 or params[1] <= 0:
             raise InvalidConfig("normal distribution needs mu,sigma with sigma > 0")
@@ -230,7 +239,8 @@ def _parse_g(text):
     if len(parts) != 2 or parts[0].strip() != "quadratic":
         raise InvalidConfig(f"cannot parse mean function {text!r} "
                             "(expected quadratic:c0,c1,c2)")
-    coefs = [float(v) for v in parts[1].split(",")]
+    coefs = [_number(v, "mean function coefficient")
+             for v in parts[1].split(",")]
     if len(coefs) != 3:
         raise InvalidConfig("quadratic mean function needs three coefficients")
     return coefs
@@ -240,7 +250,8 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidConfig(f"cannot parse grid {text!r} (expected lo:hi:steps)")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _number(parts[0], "grid lo"), _number(parts[1], "grid hi")
+    steps = _number(parts[2], "grid steps", int)
     if steps < 2 or not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise InvalidConfig("grid needs lo < hi and steps >= 2")
     return np.linspace(lo, hi, steps)
@@ -275,8 +286,13 @@ def _cmd_figure(args):
 def _cmd_oracle_check(args):
     with open(args.joint, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    joint = DiscreteJoint(np.array(raw["support"], dtype=float),
-                          np.array(raw["probs"], dtype=float))
+    try:
+        support = np.array(raw["support"], dtype=float)
+        probs = np.array(raw["probs"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise InvalidConfig("joint file needs numeric 'support' and 'probs' "
+                            "arrays") from None
+    joint = DiscreteJoint(support, probs)
     params = population_params(joint)
     sup, iota = constrained_sup_check(joint, n_cap=args.n_cap)
     report = {

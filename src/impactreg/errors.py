@@ -55,8 +55,8 @@ class OutOfRange(ImpactregError):
     pass
 
 
-class InvalidConfig(ImpactregError):
-    pass
+class InvalidConfig(ImpactregError, ValueError):
+    """Bad user input: an option, a config value or a spec entry."""
 
 
 class ParseError(ImpactregError):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
 from .dataset import Dataset
-from .errors import DegenerateCovariate, RankDeficient, ZeroStdError
-from .regression import RANK_TOL, two_sided_pvalue
+from .errors import (DegenerateCovariate, DimensionMismatch, InvalidConfig,
+                     RankDeficient)
+from .regression import coefficient_test, fit_ols
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,6 @@ def _abs_corr(v, M):
     return r
 
 
-def _ols(X, y, hc1=False):
-    coef, resid, xtx_inv, classical, sandwich, rank, piv = backend.ols_sandwich(
-        X, y, RANK_TOL, hc1)
-    if coef is None:
-        raise RankDeficient(int(piv[rank]))
-    return coef, resid, sandwich
-
-
 def order_indices(x_focus, candidates):
     """Data-dependent ordering of candidate columns (array form).
 
@@ -90,9 +82,10 @@ def order_indices(x_focus, candidates):
         remaining.remove(pick)
         X = np.column_stack([np.ones(n), candidates[:, order]])
         try:
-            _, resid, _ = _ols(X, x_focus)
-        except RankDeficient:
-            # focus is now fully explained; append the rest in position order
+            resid = fit_ols(x_focus, X).residuals
+        except (RankDeficient, DimensionMismatch):
+            # focus is now fully explained, or no row is left to explain it
+            # with: append the rest in position order
             order.extend(remaining)
             return order
     order.extend(remaining)
@@ -103,7 +96,7 @@ def order_covariates(focus, candidates, data: Dataset):
     """Label-level wrapper around :func:`order_indices`."""
     candidates = list(candidates)
     if not candidates:
-        raise ValueError("need at least one candidate covariate")
+        raise InvalidConfig("need at least one candidate covariate")
     perm = order_indices(data.column(focus), data.columns(candidates))
     return [candidates[j] for j in perm]
 
@@ -111,11 +104,11 @@ def order_covariates(focus, candidates, data: Dataset):
 def fixed_sequence_test(p_values, alpha):
     """Length of the maximal all-rejected prefix at local level alpha."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise InvalidConfig("alpha must be in (0, 1)")
     count = 0
     for p in p_values:
         if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p-value {p} outside [0, 1]")
+            raise InvalidConfig(f"p-value {p} outside [0, 1]")
         if p <= alpha:
             count += 1
         else:
@@ -124,7 +117,7 @@ def fixed_sequence_test(p_values, alpha):
 
 
 def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
-                      hc1=False, reference="student_t"):
+                      flavor="HC0", reference="student_t"):
     """Sequential step p-values with early stopping (array form).
 
     Returns ``(pvalues, rejected_prefix)``; p-values past the first
@@ -142,13 +135,8 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
         else:
             n_adjust = step + 1
         X = np.column_stack([ones, x_focus, ordered[:, :n_adjust]])
-        coef, resid, sandwich = _ols(X, y, hc1)
-        var = sandwich[1, 1]
-        se = np.sqrt(var) if var > 0 else 0.0
-        if se < 1e-14:
-            raise ZeroStdError("degenerate robust standard error in hierarchy")
-        stat = coef[1] / se
-        p = two_sided_pvalue(stat, n - X.shape[1], reference)
+        p = coefficient_test(fit_ols(y, X, flavor=flavor), 1,
+                             reference).p_value
         pvalues[step] = p
         if p <= alpha:
             rejected += 1
@@ -167,17 +155,19 @@ def run_hierarchy(y_col, focus, candidates, data: Dataset, alpha=0.05,
     if ordering is not None:
         ordering = list(ordering)
         if sorted(ordering) != sorted(candidates):
-            raise ValueError("pre-specified ordering must permute the candidates")
+            raise InvalidConfig(
+                "pre-specified ordering must permute the candidates")
     elif candidates:
         ordering = order_covariates(focus, candidates, data)
     else:
         ordering = []
         if not include_bivariate:
-            raise ValueError("no candidates and no bivariate step: nothing to test")
+            raise InvalidConfig(
+                "no candidates and no bivariate step: nothing to test")
     ordered = data.columns(ordering) if ordering else np.empty((data.n, 0))
     pvalues, rejected = hierarchy_pvalues(
         y, x_focus, ordered, alpha, include_bivariate=include_bivariate,
-        hc1=(flavor == "HC1"), reference=reference)
+        flavor=flavor, reference=reference)
     confounders = max(0, rejected - 1) if include_bivariate else rejected
     return HierarchyResult(
         focus=focus,

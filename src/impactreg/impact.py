@@ -82,10 +82,10 @@ def _slope_test(y, x, flavor="HC0", reference="student_t"):
     X = np.column_stack([np.ones(len(x)), x])
     fit = fit_ols(y, X, column_names=("intercept", "x"), flavor=flavor)
     try:
-        return fit, coefficient_test(fit, 1, reference)
+        return coefficient_test(fit, 1, reference)
     except ZeroStdError:
         # exact fit: the slope test is degenerate, report the value alone
-        return fit, None
+        return None
 
 
 def linear_mean_impact(y, x, target="y", focus="x", flavor="HC0",
@@ -94,7 +94,7 @@ def linear_mean_impact(y, x, target="y", focus="x", flavor="HC0",
     y, x = _check_pair(y, x)
     sx = _check_spread(x, focus)
     value = abs(cov_n(y, x)) / sx
-    _, test = _slope_test(y, x, flavor, reference)
+    test = _slope_test(y, x, flavor, reference)
     return ImpactEstimate(kind="linear_impact", value=value, target=target,
                           focus=focus, test=test)
 
@@ -106,7 +106,7 @@ def linear_mean_slope(y, x, signed=False, target="y", focus="x",
     sx = _check_spread(x, focus)
     slope = cov_n(y, x) / sx ** 2
     value = slope if signed else abs(slope)
-    _, test = _slope_test(y, x, flavor, reference)
+    test = _slope_test(y, x, flavor, reference)
     return ImpactEstimate(kind="linear_slope", value=value, target=target,
                           focus=focus, test=test)
 

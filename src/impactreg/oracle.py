@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateCovariate, DimensionMismatch, EmptySupport,
-                     InvariantViolation, OutOfRange, SingularMoments)
+                     InvalidConfig, InvariantViolation, OutOfRange,
+                     SingularMoments)
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,10 @@ class DiscreteJoint:
         if support.shape[0] == 0:
             raise EmptySupport("empty support")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
+            raise InvalidConfig("probs must be nonnegative and sum to 1")
         atoms = {tuple(row) for row in support}
         if len(atoms) != support.shape[0]:
-            raise ValueError("support atoms must be distinct")
+            raise InvalidConfig("support atoms must be distinct")
         support.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "support", support)

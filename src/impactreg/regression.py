@@ -1,9 +1,11 @@
 """Least-squares fitting with classical and Huber-White sandwich covariance.
 
 The computational substrate for the impact estimators, the hierarchical
-testing procedure and the simulation harness.  Every solve goes through
-the column-pivoted QR kernel :func:`impactreg.backend.ols_sandwich`;
-normal equations are never formed.
+testing procedure and the simulation harness.  Every coefficient test,
+hierarchy steps included, is ``coefficient_test(fit_ols(...))``; every
+solve goes through the column-pivoted QR kernel in
+:mod:`impactreg.backend`, which forms the sandwich from its QR factors
+with no explicit (X'X)^-1 product.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from scipy.special import ndtr, stdtr
 
 from . import backend
 from .dataset import Dataset
-from .errors import (DimensionMismatch, NonFinite, RankDeficient,
-                     ZeroStdError)
-
-RANK_TOL = 1e-10
+from .errors import (DimensionMismatch, InvalidConfig, NonFinite,
+                     RankDeficient, ZeroStdError)
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class FitResult:
     residuals: np.ndarray
     classical_cov: np.ndarray
     sandwich_cov: np.ndarray
-    xtx_inv: np.ndarray
     dof: int
     flavor: str
 
@@ -62,7 +61,7 @@ def two_sided_pvalue(statistic, dof, reference="student_t"):
         return 2.0 * float(stdtr(dof, -a))
     if reference == "normal":
         return 2.0 * float(ndtr(-a))
-    raise ValueError(f"unknown reference {reference!r}")
+    raise InvalidConfig(f"unknown reference {reference!r}")
 
 
 def _validate(y, X):
@@ -81,28 +80,24 @@ def _validate(y, X):
     return y, X
 
 
-def _check_flavor(flavor):
-    if flavor not in ("HC0", "HC1"):
-        raise ValueError(f"unknown sandwich flavor {flavor!r}")
-
-
 def fit_ols(y, X, column_names=None, flavor="HC0"):
     """Fit y on the design X (leading intercept column by convention).
 
     Raises ``RankDeficient`` naming the dependent column when X is not of
-    full column rank at relative pivot tolerance ``RANK_TOL``.
+    full column rank at relative pivot tolerance ``backend.RANK_TOL``.
     """
     y, X = _validate(y, X)
     n, p = X.shape
-    _check_flavor(flavor)
+    if flavor not in ("HC0", "HC1"):
+        raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     if column_names is None:
         column_names = tuple(f"x{j}" for j in range(p))
     else:
         column_names = tuple(column_names)
         if len(column_names) != p:
             raise DimensionMismatch("column_names length does not match X")
-    coef, resid, xtx_inv, classical, sandwich, rank, piv = backend.ols_sandwich(
-        X, y, RANK_TOL, flavor == "HC1")
+    coef, resid, classical, sandwich, rank, piv = backend.ols_sandwich(
+        X, y, flavor == "HC1")
     if rank < p:
         raise RankDeficient(column_names[int(piv[rank])])
     return FitResult(
@@ -111,19 +106,9 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
         residuals=resid,
         classical_cov=classical,
         sandwich_cov=sandwich,
-        xtx_inv=xtx_inv,
         dof=n - p,
         flavor=flavor,
     )
-
-
-def sandwich_covariance(fit: FitResult, X, flavor="HC0"):
-    """(X'X)^-1 X' diag(e_i^2) X (X'X)^-1, times n/(n-p) for HC1."""
-    X = np.ascontiguousarray(X, dtype=float)
-    if X.shape != (fit.n, fit.p):
-        raise DimensionMismatch("X does not match the fitted model")
-    _check_flavor(flavor)
-    return backend.sandwich(X, fit.residuals, fit.xtx_inv, flavor == "HC1")
 
 
 def coefficient_test(fit: FitResult, index: int, reference="student_t"):

@@ -150,7 +150,7 @@ def _replicate(config: SimConfig, replication_index: int):
         pvals, rejected = hierarchy_pvalues(
             y, x1, ordered, config.alpha,
             include_bivariate=config.include_bivariate,
-            hc1=(config.flavor == "HC1"), reference=config.reference)
+            flavor=config.flavor, reference=config.reference)
         steps = len(pvals)
         confounders = max(0, rejected - 1) if config.include_bivariate else rejected
         final_reject = rejected == steps

@@ -115,12 +115,22 @@ class TransformSpec:
         return cls(steps=tuple(raw))
 
 
+def _field(step, key, convert=None):
+    if key not in step:
+        raise InvalidConfig(f"{step.get('op')} step needs a {key!r} entry")
+    try:
+        return step[key] if convert is None else convert(step[key])
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{key} must be a number, got {step[key]!r}") \
+            from None
+
+
 def _exclude_rows(data, step, log):
-    column = data.column(step["column"])
+    column = data.column(_field(step, "column"))
     comparator = _COMPARATORS.get(step.get("comparator"))
     if comparator is None:
         raise InvalidConfig(f"unknown comparator {step.get('comparator')!r}")
-    threshold = float(step["threshold"])
+    threshold = _field(step, "threshold", float)
     if not math.isfinite(threshold):
         raise InvalidConfig("threshold must be finite")
     drop = comparator(column, threshold)
@@ -140,8 +150,8 @@ def _replace_column(data, label, values):
 
 
 def _log(data, step, log):
-    label = step["column"]
-    offset = float(step.get("offset", 0.0))
+    label = _field(step, "column")
+    offset = _field(step, "offset", float) if "offset" in step else 0.0
     if offset < 0 or not math.isfinite(offset):
         raise InvalidConfig("log offset must be finite and >= 0")
     shifted = data.column(label) + offset
@@ -154,10 +164,10 @@ def _log(data, step, log):
 
 
 def _dichotomize(data, step, log):
-    label = step["column"]
+    label = _field(step, "column")
     column = data.column(label)
     rule = step.get("rule", "by_threshold")
-    value = float(step["value"])
+    value = _field(step, "value", float)
     if rule == "by_threshold":
         out = (column > value).astype(float)
     elif rule == "by_level":
@@ -169,7 +179,7 @@ def _dichotomize(data, step, log):
 
 
 def _standardize(data, step, log):
-    label = step["column"]
+    label = _field(step, "column")
     column = data.column(label)
     sd = column.std()
     if sd == 0.0:
@@ -179,7 +189,7 @@ def _standardize(data, step, log):
 
 
 def _augment_quadratic(data, step, log):
-    labels = list(step["columns"])
+    labels = list(_field(step, "columns"))
     names = [f"{c}^2" for c in labels]
     values = data.columns(labels) ** 2
     log.append(f"augment_quadratic({', '.join(labels)}): added "
@@ -188,7 +198,7 @@ def _augment_quadratic(data, step, log):
 
 
 def _augment_interactions(data, step, log):
-    labels = list(step["columns"])
+    labels = list(_field(step, "columns"))
     names, cols = [], []
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):

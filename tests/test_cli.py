@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from impactreg import write_csv
+from impactreg import cli, write_csv
 from impactreg.cli import figure_coefficients, main
 from impactreg.simulate import SimConfig, generate_dataset
 
@@ -86,6 +86,38 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["transform_log"] == ["standardize(x2)"]
 
+    @pytest.mark.parametrize("step", [
+        {"op": "standardize"},
+        {"op": "exclude_rows", "column": "x2", "comparator": ">"},
+        {"op": "dichotomize", "column": "x2", "value": "high"},
+        {"op": "augment_quadratic"},
+    ])
+    def test_incomplete_transform_step_exit_2(self, data_csv, tmp_path,
+                                              capsys, step):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps([step]))
+        code = run(["analyze", "--data", str(data_csv), "--response", "y",
+                    "--focus", "x1", "--transforms", str(spec)])
+        assert code == 2
+        assert "impactreg: error" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("y,x\xe9\n1,2\n3,4\n".encode("latin-1"))
+        assert run(["analyze", "--data", str(path), "--response", "y",
+                    "--focus", "x1"]) == 2
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError])
+    def test_internal_error_is_not_a_data_error(self, data_csv, monkeypatch,
+                                                exc):
+        # an internal bug must surface with its traceback, not as exit 2
+        def broken(*args, **kwargs):
+            raise exc("internal")
+        monkeypatch.setattr(cli, "mod_r2", broken)
+        with pytest.raises(exc):
+            run(["analyze", "--data", str(data_csv), "--response", "y",
+                 "--focus", "x1"])
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run(["analyze", "--data", str(tmp_path / "nope.csv"),
                     "--response", "y", "--focus", "x1"])
@@ -147,6 +179,12 @@ class TestSimulate:
 
     def test_bad_config_exit_2(self, capsys):
         assert run(["simulate", "--m", "1", "--reps", "5"]) == 2
+
+    def test_non_integer_thread_env_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("IMPACTREG_THREADS", "two")
+        assert run(["simulate", "--m", "5", "--k", "4", "--n", "100",
+                    "--reps", "2"]) == 2
+        assert "IMPACTREG_THREADS" in capsys.readouterr().err
 
     def test_thread_count_byte_identical(self, tmp_path):
         outs = []
@@ -223,6 +261,13 @@ class TestFigure:
                     "--grid", "0:1:5"]) == 2
         assert run(["figure", "--dist", "normal:0,1",
                     "--g", "quadratic:0,1,1", "--grid", "1:0:5"]) == 2
+        for dist, g, grid in [("normal:0,one", "quadratic:0,1,1", "0:1:5"),
+                              ("normal:0,1", "quadratic:0,a,1", "0:1:5"),
+                              ("normal:0,1", "quadratic:0,1,1", "0:1:2.5")]:
+            capsys.readouterr()
+            assert run(["figure", "--dist", dist, "--g", g,
+                        "--grid", grid]) == 2
+            assert "cannot parse" in capsys.readouterr().err
 
 
 class TestOracleCheck:
@@ -246,6 +291,13 @@ class TestOracleCheck:
         path = tmp_path / "j.json"
         path.write_text('{"support": [[1, -1]], "probs": [0.5, 0.5]}')
         assert run(["oracle-check", "--joint", str(path)]) == 2
+        for text in ['{"support": [[1, -1], [0, 0]]}',
+                     '{"support": [[1, -1], [0, "a"]], "probs": [0.5, 0.5]}',
+                     '[[1, -1], [0, 0]]']:
+            path.write_text(text)
+            capsys.readouterr()
+            assert run(["oracle-check", "--joint", str(path)]) == 2
+            assert "support" in capsys.readouterr().err
 
     def test_degenerate_joint_exit_3(self, tmp_path, capsys):
         joint = {"support": [[1, 0], [2, 0]], "probs": [0.5, 0.5]}

@@ -95,6 +95,18 @@ class TestOrdering:
         # collapses the design; column 2 is appended
         assert order == [0, 1, 2]
 
+    def test_more_candidates_than_rows_append_rest_in_position_order(self):
+        # once the intercept and the picks use up all n rows the focus is
+        # fully explained, and the rest follow in position order
+        rng = np.random.default_rng(7)
+        n, q = 5, 8
+        cand = rng.standard_normal((n, q))
+        x1 = cand @ rng.standard_normal(q) + rng.standard_normal(n)
+        order = order_indices(x1, cand)
+        assert sorted(order) == list(range(q))
+        rest = order[n - 1:]
+        assert rest == sorted(rest)
+
 
 class TestFixedSequence:
     def test_examples(self):
@@ -218,7 +230,7 @@ class TestHierarchyPvalues:
         y = x1 + rng.standard_normal(n)
         p0, _ = hierarchy_pvalues(y, x1, ordered, alpha=1.0 - 1e-12)
         p1, _ = hierarchy_pvalues(y, x1, ordered, alpha=1.0 - 1e-12,
-                                  hc1=True)
+                                  flavor="HC1")
         for a, b in zip(p0, p1):
             assert b >= a
 
@@ -231,7 +243,7 @@ class TestHierarchyPvalues:
         x1 = ordered @ [1.0, 0.5, -0.3] + rng.standard_normal(n)
         y = x1 + ordered[:, 0] ** 2 + np.exp(x1 / 2) * rng.standard_normal(n)
         pvalues, _ = hierarchy_pvalues(y, x1, ordered, alpha=1.0 - 1e-12,
-                                       include_bivariate=True, hc1=True)
+                                       include_bivariate=True, flavor="HC1")
         assert None not in pvalues
         for step, p in enumerate(pvalues):
             X = np.column_stack([np.ones(n), x1, ordered[:, :step]])

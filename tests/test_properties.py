@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from impactreg import (Dataset, fixed_sequence_test, fit_ols,
-                       linear_mean_impact, mod_r2, read_csv, write_csv)
+from impactreg import (Dataset, SimConfig, coefficient_test,
+                       fixed_sequence_test, fit_ols, linear_mean_impact,
+                       mod_r2, read_csv, write_csv)
 from impactreg.errors import RankDeficient
+from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.impact import sd_n
+from impactreg.simulate import generate_arrays
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -88,3 +91,49 @@ def test_csv_round_trip(n, c, seed):
     back = read_csv(io.StringIO(buf.getvalue()))
     np.testing.assert_array_equal(back.values, data.values)
     assert back.column_names == data.column_names
+
+
+@st.composite
+def study_replications(draw):
+    """(y, X) of one simulated replication, X = (X_1 .. X_m)."""
+    m = draw(st.integers(min_value=3, max_value=8))
+    config = SimConfig(m=m, k=draw(st.integers(min_value=1, max_value=m - 1)),
+                       beta=draw(st.floats(min_value=0.0, max_value=1.5)),
+                       theta1=draw(st.sampled_from([0.0, 0.4])),
+                       n=draw(st.integers(min_value=m + 10, max_value=300)),
+                       seed=draw(st.integers(min_value=0, max_value=2 ** 32)))
+    return generate_arrays(config, draw(st.integers(min_value=0,
+                                                    max_value=10 ** 6)))
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _focus_test(y, X, flavor):
+    """Robust test of the X_1 coefficient in the regression of y on (1, X)."""
+    design = np.column_stack([np.ones(len(y)), X])
+    return coefficient_test(fit_ols(y, design, flavor=flavor), 1)
+
+
+@given(study_replications(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_focus_test_ignores_adjustment_order(replication, data):
+    y, X = replication
+    perm = data.draw(st.permutations(range(1, X.shape[1])))
+    for flavor in ("HC0", "HC1"):
+        a = _focus_test(y, X, flavor)
+        b = _focus_test(y, X[:, [0, *perm]], flavor)
+        for field in ("estimate", "std_error", "p_value"):
+            assert _rel(getattr(a, field), getattr(b, field)) <= 1e-10, field
+
+
+@given(study_replications(), st.sampled_from(["HC0", "HC1"]))
+@settings(max_examples=50, deadline=None)
+def test_last_hierarchy_step_is_the_full_model_test(replication, flavor):
+    y, X = replication
+    x1, cand = X[:, 0], X[:, 1:]
+    # alpha = 1 rejects every step, so the last one is always evaluated
+    pvalues, _ = hierarchy_pvalues(y, x1, cand[:, order_indices(x1, cand)],
+                                   alpha=1.0, flavor=flavor)
+    assert _rel(pvalues[-1], _focus_test(y, X, flavor).p_value) <= 1e-12

@@ -1,5 +1,11 @@
 """CSV ingestion and the preprocessing transforms used before analysis.
 
+``read_csv`` parses the body of a seekable source with ``np.loadtxt`` and
+keeps the result only when it has the header's width, at least one row
+and finite values; otherwise it rewinds and reruns the strict per-cell
+scanner, which is the reference for every value and the only source of
+parse errors.  Non-seekable streams go to the strict scanner directly.
+
 Transforms are applied in order and never modify existing columns in
 place; augmentation steps only append.  Missing values are a hard error
 (the estimators assume complete i.i.d. rows).
@@ -10,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +40,20 @@ def read_csv(source, schema=None) -> Dataset:
     """Read an RFC-4180 CSV with a header row into a Dataset.
 
     ``source`` is a path or a text stream.  ``schema`` optionally pins
-    the expected column names.
+    the expected column names.  The body of a path or a seekable stream
+    is read by ``np.loadtxt``; if that fails, or gives a table the strict
+    scanner might not (wrong width, no rows, a non-finite value), the
+    source is rewound and scanned cell by cell, which accepts what
+    Python's ``float`` accepts and raises ``ParseError``/``MissingValue``
+    with the line and column.  Either way the values are the same.
     """
     if hasattr(source, "read"):
-        return _read_csv_stream(source, schema)
+        return _read_csv_fast(source, schema)
     with open(source, "r", newline="", encoding="utf-8") as fh:
-        return _read_csv_stream(fh, schema)
+        return _read_csv_fast(fh, schema)
 
 
-def _read_csv_stream(stream, schema):
-    reader = csv.reader(stream)
+def _read_header(reader, schema):
     try:
         header = next(reader)
     except StopIteration:
@@ -51,6 +62,46 @@ def _read_csv_stream(stream, schema):
     if schema is not None and list(schema) != header:
         raise SchemaMismatch(
             f"expected columns {list(schema)}, found {header}")
+    return header
+
+
+def _read_csv_fast(stream, schema):
+    try:
+        start = stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError, ValueError):
+        start = None
+    if start is None:
+        return _read_csv_stream(stream, schema)
+    header = _read_header(csv.reader(stream), schema)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(_within_field_limit(stream), delimiter=",",
+                                comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if (values.shape[0] and values.shape[1] == len(header)
+                and np.isfinite(values).all()):
+            return Dataset(tuple(header), values)
+    stream.seek(start)
+    return _read_csv_stream(stream, schema)
+
+
+def _within_field_limit(lines):
+    # csv.reader raises on a field longer than its limit and loadtxt does
+    # not, so a line that long is left to the strict scanner
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field size limit")
+        yield line
+
+
+def _read_csv_stream(stream, schema):
+    """The strict scanner: the reference for values and every parse error."""
+    reader = csv.reader(stream)
+    header = _read_header(reader, schema)
     rows = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -95,9 +146,33 @@ def write_csv(data: Dataset, target):
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """An ordered list of transform steps (dicts with an ``op`` key)."""
+    """An ordered list of transform steps (dicts with an ``op`` key).
+
+    Each step must be an object whose ``op`` names a known transform,
+    whose ``column``, if given, is a string and whose ``columns``, if
+    given, is a list of strings; anything else raises ``InvalidConfig``.
+    """
 
     steps: tuple
+
+    def __post_init__(self):
+        for number, step in enumerate(self.steps, start=1):
+            if not isinstance(step, dict):
+                raise InvalidConfig(
+                    f"transform step {number} must be an object, got {step!r}")
+            op = step.get("op")
+            if not isinstance(op, str) or op not in _STEPS:
+                raise InvalidConfig(f"unknown transform op {op!r}")
+            if "column" in step and not isinstance(step["column"], str):
+                raise InvalidConfig(
+                    f"{op} step: column must be a string, "
+                    f"got {step['column']!r}")
+            if "columns" in step and not (
+                    isinstance(step["columns"], list)
+                    and all(isinstance(c, str) for c in step["columns"])):
+                raise InvalidConfig(
+                    f"{op} step: columns must be a list of strings, "
+                    f"got {step['columns']!r}")
 
     @classmethod
     def from_json(cls, source):
@@ -225,16 +300,11 @@ def apply_transforms(data: Dataset, spec: TransformSpec):
     """Apply all steps in order; returns (dataset, provenance log)."""
     log: list[str] = []
     for step in spec.steps:
-        op = step.get("op")
-        fn = _STEPS.get(op)
-        if fn is None:
-            raise InvalidConfig(f"unknown transform op {op!r}")
-        for key in ("column",):
-            if key in step and step[key] not in data.column_names:
-                raise UnknownColumn(step[key])
+        if "column" in step and step["column"] not in data.column_names:
+            raise UnknownColumn(step["column"])
         if "columns" in step:
             for c in step["columns"]:
                 if c not in data.column_names:
                     raise UnknownColumn(c)
-        data = fn(data, step, log)
+        data = _STEPS[step["op"]](data, step, log)
     return data, log

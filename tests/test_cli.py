@@ -101,6 +101,21 @@ class TestAnalyze:
         assert code == 2
         assert "impactreg: error" in capsys.readouterr().err
 
+    def test_non_object_transform_step_exit_2(self, data_csv, capsys):
+        code = run(["analyze", "--data", str(data_csv), "--response", "y",
+                    "--focus", "x1", "--transforms", "[1]"])
+        assert code == 2
+        assert "step 1 must be an object" in capsys.readouterr().err
+
+    def test_string_columns_entry_exit_2(self, data_csv, capsys):
+        spec = json.dumps([{"op": "augment_quadratic", "columns": "x1"}])
+        code = run(["analyze", "--data", str(data_csv), "--response", "y",
+                    "--focus", "x1", "--transforms", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "columns must be a list of strings" in err
+        assert "unknown column" not in err
+
     def test_non_utf8_csv_exit_2(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("y,x\xe9\n1,2\n3,4\n".encode("latin-1"))

@@ -2,6 +2,8 @@
 
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from impactreg.errors import RankDeficient
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.impact import sd_n
 from impactreg.simulate import generate_arrays
+from impactreg.transforms import _read_csv_stream
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -92,6 +95,51 @@ def test_csv_round_trip(n, c, seed):
     np.testing.assert_array_equal(back.values, data.values)
     assert back.column_names == data.column_names
 
+
+
+CELL_FORMATS = (repr, lambda v: "%.17g" % v, lambda v: "%.6e" % v,
+                lambda v: str(math.trunc(v)))
+
+
+@st.composite
+def csv_texts(draw):
+    """A finite table written with mixed cell formats and line ends."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    c = draw(st.integers(min_value=1, max_value=4))
+    values = draw(hnp.arrays(np.float64, (n, c), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    pad = st.sampled_from(["", "", " ", "\t", " \t "])
+    lines = [",".join(f"c{j}" for j in range(c))]
+    for row in values:
+        cells = []
+        for v in row:
+            cell = draw(st.sampled_from(CELL_FORMATS))(float(v))
+            if not cell.startswith("-") and draw(st.booleans()):
+                cell = "+" + cell
+            cells.append(draw(pad) + cell + draw(pad))
+        lines.extend([""] * draw(st.integers(min_value=0, max_value=2)))
+        lines.append(",".join(cells))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                   for line in lines)
+
+
+def same_table(got, want):
+    assert got.column_names == want.column_names
+    np.testing.assert_array_equal(got.values.view(np.int64),
+                                  want.values.view(np.int64))
+
+
+@given(csv_texts())
+@settings(max_examples=100, deadline=None)
+def test_read_csv_matches_strict_scanner(text):
+    same_table(read_csv(io.StringIO(text)),
+               _read_csv_stream(io.StringIO(text), None))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            want = _read_csv_stream(fh, None)
+        same_table(read_csv(path), want)
 
 @st.composite
 def study_replications(draw):

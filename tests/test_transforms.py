@@ -1,9 +1,11 @@
+import csv
 import io
 
 import numpy as np
 import pytest
 
 from impactreg import TransformSpec, apply_transforms, read_csv, write_csv
+from impactreg.transforms import _read_csv_stream
 from impactreg.dataset import Dataset
 from impactreg.errors import (DimensionMismatch, EmptyAfterExclusion,
                               InvalidConfig, MissingValue, NonFinite,
@@ -73,6 +75,121 @@ class TestCsv:
         np.testing.assert_array_equal(back.values, data.values)
 
 
+def outcome(read):
+    """What a read gives: names and value bits, or the error's details."""
+    try:
+        data = read()
+    except Exception as exc:
+        return (type(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None), str(exc))
+    return data.column_names, data.values.view(np.int64).tolist()
+
+
+def strict_outcome(text):
+    return outcome(lambda: _read_csv_stream(io.StringIO(text), None))
+
+
+def strict_path_outcome(path):
+    def read():
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return _read_csv_stream(fh, None)
+    return outcome(read)
+
+
+# inputs the vectorized reader must not decide alone
+FALLBACK_CASES = {
+    "quoted cells": 'a,b\n"1.5",2\n3,"4"\n',
+    "underscore": "a,b\n1_0,2\n3,4\n",
+    "unicode digit": "a,b\n\u0661,2\n3,4\n",
+    "cr line ends": "a,b\r1,2\r3,4\r",
+    "nan": "a,b\n1,nan\n3,4\n",
+    "inf": "a,b\n1,2\n-inf,4\n",
+    "overflow": "a,b\n1,2\n3,1e500\n",
+    "ragged row": "a,b\n1,2\n3,4,5\n",
+    "every row wider than the header": "a,b\n1,2,3\n4,5,6\n",
+    "whitespace-only line": "a,b\n1,2\n   \n3,4\n",
+    "whitespace-only line, one column": "a\n1\n \t\n3\n",
+    "trailing comma": "a,b\n1,2,\n3,4\n",
+    "empty cell": "a,b\n1,2\n3,\n",
+    "hash in cell": "a,b\n1,2#3\n3,4\n",
+    "header only": "a,b\n",
+    "header only, one column": "a\n\n",
+    "empty file": "",
+    "field over the csv limit": "a\n" + " " * 140_000 + "1\n2\n",
+}
+
+
+class TestFastPathFallback:
+    @pytest.mark.parametrize("text", FALLBACK_CASES.values(),
+                             ids=FALLBACK_CASES.keys())
+    def test_stream_matches_strict_scanner(self, text):
+        assert outcome(lambda: read_csv(io.StringIO(text))) == \
+            strict_outcome(text)
+
+    @pytest.mark.parametrize("text", FALLBACK_CASES.values(),
+                             ids=FALLBACK_CASES.keys())
+    def test_path_matches_strict_scanner(self, text, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda: read_csv(path)) == strict_path_outcome(path)
+
+    @pytest.mark.parametrize("body", [b"3,\xe9\n", b"3,4\n" * 5000 + b"\xff,1\n"],
+                             ids=["early", "past the first chunk"])
+    def test_non_utf8_byte(self, body, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n" + body)
+        got = outcome(lambda: read_csv(path))
+        assert got[0] is UnicodeDecodeError
+        assert got == strict_path_outcome(path)
+
+    def test_values_after_a_late_fallback(self, tmp_path):
+        # the fast read fails only on the last line, past several buffers
+        rows = "".join(f"{i}.25,{-i}e-3\n" for i in range(5000))
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + rows + '"7",8\n', newline="")
+        got = outcome(lambda: read_csv(path))
+        assert got == strict_path_outcome(path)
+        assert len(got[1]) == 5001
+
+    def test_error_line_after_a_late_fallback(self, tmp_path):
+        rows = "1,2\n" * 5000
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + rows + "3,x\n", newline="")
+        with pytest.raises(ParseError) as err:
+            read_csv(path)
+        assert (err.value.line, err.value.column) == (5002, 2)
+
+    def test_stream_rewinds_to_its_own_start(self):
+        # a stream already past a preamble is rewound there, not to 0
+        stream = io.StringIO("preamble\na,b\n1,2\n3,\"4\"\n")
+        stream.readline()
+        data = read_csv(stream)
+        assert data.column_names == ("a", "b")
+        np.testing.assert_array_equal(data.values, [[1., 2.], [3., 4.]])
+
+    def test_non_seekable_stream_is_scanned_strictly(self, monkeypatch):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("loadtxt read a non-seekable stream")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        assert outcome(lambda: read_csv(Pipe(CSV))) == strict_outcome(CSV)
+        with pytest.raises(MissingValue):
+            read_csv(Pipe("a,b\n1,\n"))
+
+    def test_csv_field_limit_is_read_at_call_time(self):
+        text = "a\n" + "1" * 50 + "\n2\n"
+        old = csv.field_size_limit(10)
+        try:
+            got = outcome(lambda: read_csv(io.StringIO(text)))
+        finally:
+            csv.field_size_limit(old)
+        assert got[0] is csv.Error
+
+
 class TestTransformSpec:
     def test_from_json_literal_and_dict(self):
         spec = TransformSpec.from_json('[{"op": "standardize", "column": "x1"}]')
@@ -89,6 +206,20 @@ class TestTransformSpec:
     def test_rejects_non_list(self):
         with pytest.raises(InvalidConfig):
             TransformSpec.from_json('{"steps": 3}')
+
+    @pytest.mark.parametrize("spec", [
+        "[1]",
+        '[["log", "y"]]',
+        '[{"column": "y"}]',
+        '[{"op": ["log"], "column": "y"}]',
+        '[{"op": "frobnicate", "column": "y"}]',
+        '[{"op": "log", "column": 3}]',
+        '[{"op": "augment_quadratic", "columns": "x1"}]',
+        '[{"op": "augment_quadratic", "columns": ["x1", 2]}]',
+    ])
+    def test_rejects_malformed_steps(self, spec):
+        with pytest.raises(InvalidConfig):
+            TransformSpec.from_json(spec)
 
 
 class TestApplyTransforms:

@@ -74,12 +74,11 @@ def _number(text, what, convert=float):
 
 
 def _load_dataset(args):
-    data = read_csv(args.data)
-    log = []
-    if getattr(args, "transforms", None):
-        spec = TransformSpec.from_json(args.transforms)
-        data, log = apply_transforms(data, spec)
-    return data, log
+    # a malformed spec is reported before the data file is read
+    if not args.transforms:
+        return read_csv(args.data), []
+    spec = TransformSpec.from_json(args.transforms)
+    return apply_transforms(read_csv(args.data), spec)
 
 
 # ---------------------------------------------------------------- analyze

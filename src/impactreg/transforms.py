@@ -53,9 +53,19 @@ def read_csv(source, schema=None) -> Dataset:
         return _read_csv_fast(fh, schema)
 
 
-def _read_header(reader, schema):
+def _records(reader):
+    """The rows of a ``csv.reader``; a malformed record raises
+    ``ParseError`` on the physical line where the reader stopped."""
     try:
-        header = next(reader)
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, 1,
+                         f"malformed CSV record: {exc}") from None
+
+
+def _read_header(records, schema):
+    try:
+        header = next(records)
     except StopIteration:
         raise ParseError(1, 1, "empty file") from None
     header = [h.strip() for h in header]
@@ -72,7 +82,7 @@ def _read_csv_fast(stream, schema):
         start = None
     if start is None:
         return _read_csv_stream(stream, schema)
-    header = _read_header(csv.reader(stream), schema)
+    header = _read_header(_records(csv.reader(stream)), schema)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -101,11 +111,13 @@ def _within_field_limit(lines):
 def _read_csv_stream(stream, schema):
     """The strict scanner: the reference for values and every parse error."""
     reader = csv.reader(stream)
-    header = _read_header(reader, schema)
+    records = _records(reader)
+    header = _read_header(records, schema)
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in records:
         if not row:
             continue
+        line_no = reader.line_num
         if len(row) != len(header):
             raise ParseError(line_no, 1,
                              f"expected {len(header)} cells, found {len(row)}")

@@ -116,6 +116,26 @@ class TestAnalyze:
         assert "columns must be a list of strings" in err
         assert "unknown column" not in err
 
+    def test_bad_spec_reported_before_the_data_is_read(self, tmp_path,
+                                                       capsys):
+        code = run(["analyze", "--data", str(tmp_path / "nope.csv"),
+                    "--response", "y", "--focus", "x1",
+                    "--transforms", '[{"op": "nope"}]'])
+        assert code == 2
+        assert "unknown transform op 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("y,x1\n1,2\n3," + "9" * 140_000 + "\n", "line 3, column 1"),
+        ('y,"x1\n"\n1,2\n3,oops\n', "line 4, column 2"),
+    ], ids=["cell over the csv field limit", "header cell over two lines"])
+    def test_csv_error_names_its_physical_line(self, tmp_path, capsys, text,
+                                               where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run(["analyze", "--data", str(path), "--response", "y",
+                    "--focus", "x1"]) == 2
+        assert f"impactreg: error: {where}" in capsys.readouterr().err
+
     def test_non_utf8_csv_exit_2(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("y,x\xe9\n1,2\n3,4\n".encode("latin-1"))

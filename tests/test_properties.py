@@ -12,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from impactreg import (Dataset, SimConfig, coefficient_test,
                        fixed_sequence_test, fit_ols, linear_mean_impact,
-                       mod_r2, read_csv, write_csv)
+                       mod_r2, partial_linear_mean_impact,
+                       partial_linear_mean_slope, read_csv, residualize,
+                       write_csv)
 from impactreg.errors import RankDeficient
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.impact import sd_n
@@ -185,3 +187,41 @@ def test_last_hierarchy_step_is_the_full_model_test(replication, flavor):
     pvalues, _ = hierarchy_pvalues(y, x1, cand[:, order_indices(x1, cand)],
                                    alpha=1.0, flavor=flavor)
     assert _rel(pvalues[-1], _focus_test(y, X, flavor).p_value) <= 1e-12
+
+
+@given(study_replications())
+@settings(max_examples=50, deadline=None)
+def test_hc1_sandwich_is_hc0_times_n_over_dof(replication):
+    y, X = replication
+    design = np.column_stack([np.ones(len(y)), X])
+    n, p = design.shape
+    hc0 = fit_ols(y, design, flavor="HC0").sandwich_cov
+    hc1 = fit_ols(y, design, flavor="HC1").sandwich_cov
+    np.testing.assert_allclose(hc1, hc0 * (n / (n - p)), rtol=1e-14, atol=0)
+
+
+@st.composite
+def heteroskedastic_designs(draw):
+    """A Dataset (y, x, a0 ..) whose noise spread grows with x and a0."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2 ** 32)))
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=k + 10, max_value=300))
+    adjust = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
+    x = adjust @ rng.standard_normal(k) + rng.standard_normal(n)
+    noise = np.exp(draw(st.floats(min_value=0.0, max_value=1.5))
+                   * np.tanh(x + adjust[:, 0]))
+    y = (x + adjust @ rng.standard_normal(k) + (x - x.mean()) ** 2
+         + noise * rng.standard_t(3, n))
+    names = ("y", "x", *(f"a{j}" for j in range(k)))
+    return Dataset(names, np.column_stack([y, x, adjust]))
+
+
+@given(heteroskedastic_designs())
+@settings(max_examples=50, deadline=None)
+def test_partial_impact_is_slope_times_residualized_focus_sd(data):
+    adjust = data.column_names[2:]
+    impact = partial_linear_mean_impact("y", "x", adjust, data).value
+    slope = partial_linear_mean_slope("y", "x", adjust, data).value
+    spread = sd_n(residualize("x", adjust, data))
+    assert _rel(impact, slope * spread) <= 1e-10

@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from impactreg import backend, fit_ols, coefficient_test, residualize
+import impactreg
+from impactreg import (backend, fit_ols, coefficient_test, residualize,
+                       write_csv)
 from impactreg.dataset import Dataset
 from impactreg.errors import (DimensionMismatch, NonFinite, RankDeficient,
                               UnknownColumn, ZeroStdError)
+from impactreg.simulate import SimConfig, generate_dataset
 
 
 def design(x):
@@ -296,3 +305,122 @@ class TestKernelDifferential:
         dependent = X[:, piv[rank]]
         fitted = kept @ np.linalg.lstsq(kept, dependent, rcond=None)[0]
         np.testing.assert_allclose(fitted, dependent, atol=1e-10)
+
+
+def blas_counts():
+    """The thread count of each OpenBLAS the kernel caps, left as it was."""
+    counts = []
+    for set_threads in backend._openblas_setters():
+        count = set_threads(1)
+        set_threads(count)
+        counts.append(count)
+    return counts
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every capped OpenBLAS at two threads, so a restore is visible."""
+    setters = backend._openblas_setters()
+    if not setters:
+        pytest.skip("no loaded OpenBLAS exports "
+                    "openblas_set_num_threads_local")
+    saved = [set_threads(2) for set_threads in setters]
+    yield
+    for set_threads, count in zip(setters, saved):
+        set_threads(count)
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def spy(monkeypatch, name, seen, error=None):
+        real = getattr(backend, name)
+
+        def lapack(*args, **kwargs):
+            seen.append((name, blas_counts()))
+            if error is not None:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backend, name, lapack)
+
+    def test_lapack_calls_run_on_one_thread(self, two_blas_threads,
+                                            monkeypatch):
+        seen = []
+        self.spy(monkeypatch, "qr", seen)
+        self.spy(monkeypatch, "solve_triangular", seen)
+        backend.ols_sandwich(*TestKernelDifferential.random_problem(0))
+        assert [name for name, _ in seen] == ["qr", "solve_triangular",
+                                              "solve_triangular"]
+        assert all(counts and set(counts) == {1} for _, counts in seen)
+        assert set(blas_counts()) == {2}
+
+    def test_count_restored_after_rank_deficient_return(self,
+                                                        two_blas_threads):
+        X, y = TestKernelDifferential.random_problem(0)
+        X = np.column_stack([X, 2 * X[:, 1]])
+        assert backend.ols_sandwich(X, y)[0] is None
+        assert set(blas_counts()) == {2}
+
+    def test_count_restored_after_an_error(self, two_blas_threads,
+                                           monkeypatch):
+        seen = []
+        self.spy(monkeypatch, "solve_triangular", seen,
+                 error=np.linalg.LinAlgError("singular"))
+        with pytest.raises(np.linalg.LinAlgError):
+            backend.ols_sandwich(*TestKernelDifferential.random_problem(0))
+        assert set(seen[0][1]) == {1}
+        assert set(blas_counts()) == {2}
+
+    def test_overlapping_calls_from_threads_restore_the_count(
+            self, two_blas_threads):
+        # the OpenBLAS count is process-wide: a call that restored it while
+        # another was still running would leave it at 1 for good
+        X, y = TestKernelDifferential.random_problem(0)
+        errors = []
+
+        def fit_many():
+            try:
+                for _ in range(200):
+                    backend.ols_sandwich(X, y)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fit_many) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors
+        assert set(blas_counts()) == {2}
+
+
+def test_reports_independent_of_blas_threads(tmp_path):
+    # at 50,000 rows OpenBLAS splits the kernel's matmuls between threads,
+    # which used to move the last bit of --adjust estimates
+    data = tmp_path / "tall.csv"
+    write_csv(generate_dataset(SimConfig(m=10, k=9, n=50_000, seed=1), 0),
+              data)
+    commands = [
+        ["simulate", "--preset", "table2", "--m", "5", "--n", "200",
+         "--reps", "30", "--seed", "3"],
+        ["analyze", "--data", str(data), "--response", "y", "--focus", "x1",
+         "--adjust", ",".join(f"x{j}" for j in range(2, 11))],
+    ]
+    src = str(Path(impactreg.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src,
+                                               os.environ.get("PYTHONPATH")]))
+    for command in commands:
+        reports = [
+            subprocess.run([sys.executable, "-m", "impactreg.cli", *command],
+                           capture_output=True, check=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=pythonpath,
+                                    OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+        assert reports[0] == reports[1], command[0]
+        assert b'"report_type"' in reports[0]

@@ -51,6 +51,24 @@ class TestCsv:
         assert err.value.line == 2
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,2\n3,4\r5\n6,7\n", 3),
+        ("a,b\n1,2\n3," + "9" * 140_000 + "\n", 3),
+        ("a," + "b" * 140_000 + "\n1,2\n", 1),
+    ], ids=["bare cr in a line", "cell over the field limit",
+            "header cell over the field limit"])
+    def test_malformed_record_location(self, text, line):
+        with pytest.raises(ParseError) as err:
+            read_csv(io.StringIO(text))
+        assert (err.value.line, err.value.column) == (line, 1)
+        assert "malformed CSV record" in str(err.value)
+
+    def test_error_line_is_physical(self):
+        # the quoted header cell spans lines 1-2, so the bad cell is on 4
+        with pytest.raises(ParseError) as err:
+            read_csv(io.StringIO('a,"b\n"\n1,2\n3,oops\n'))
+        assert (err.value.line, err.value.column) == (4, 2)
+
     def test_ragged_row(self):
         with pytest.raises(ParseError):
             read_csv(io.StringIO("a,b\n1,2,3\n"))
@@ -187,7 +205,7 @@ class TestFastPathFallback:
             got = outcome(lambda: read_csv(io.StringIO(text)))
         finally:
             csv.field_size_limit(old)
-        assert got[0] is csv.Error
+        assert got[:3] == (ParseError, 2, 1)
 
 
 class TestTransformSpec:

@@ -42,17 +42,6 @@ class HierarchyResult:
         }
 
 
-def _abs_corr(v, M):
-    """|corr(v, column)| for every column of M; 0-variance columns -> nan."""
-    v = v - v.mean()
-    M = M - M.mean(axis=0)
-    sv = np.sqrt(v @ v)
-    sm = np.sqrt(np.einsum("ij,ij->j", M, M))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.abs(M.T @ v) / (sv * sm)
-    return r
-
-
 def order_indices(x_focus, candidates):
     """Data-dependent ordering of candidate columns (array form).
 
@@ -69,11 +58,22 @@ def order_indices(x_focus, candidates):
     if np.any(sd == 0.0):
         raise DegenerateCovariate("a candidate covariate is constant")
 
+    # the candidates are centred and their norms taken once; each pass
+    # correlates the current focus residual with the remaining columns.
+    # The copy is column-major, like the copy candidates[:, remaining]
+    # that NumPy's indexing returns, so each column is summed in the same
+    # order and the correlations keep every bit of centring that copy.
+    centred = np.array(candidates, order="F")
+    centred -= centred.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
     remaining = list(range(q))
     order: list[int] = []
     resid = x_focus - x_focus.mean()
     while len(remaining) > 1:
-        corr = _abs_corr(resid, candidates[:, remaining])
+        v = resid - resid.mean()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = (np.abs(centred[:, remaining].T @ v)
+                    / (np.sqrt(v @ v) * norms[remaining]))
         # argmin with position-order tie-break; nan (degenerate residual
         # direction) sorts last
         corr = np.where(np.isnan(corr), np.inf, corr)

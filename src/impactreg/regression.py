@@ -10,6 +10,8 @@ with no explicit (X'X)^-1 product.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,22 @@ from . import backend
 from .dataset import Dataset
 from .errors import (DimensionMismatch, InvalidConfig, NonFinite,
                      RankDeficient, ZeroStdError)
+
+# A fit is exact when its residual norm is at most this share of the
+# response norm.  The residuals of an exact fit are rounding noise of the
+# size of y's own digits, so the uncentred norm is the scale; both norms
+# scale with y and neither moves when the design is rescaled, so the
+# decision does not depend on the units of the data.
+_EXACT_FIT_RTOL = 1e-13
+
+
+def _norm(v):
+    """Euclidean norm of a vector, summed by NumPy rather than BLAS.
+
+    A BLAS dot product on a long vector runs on OpenBLAS's spare thread,
+    which then spins beside the one-thread kernel (see ``backend``).
+    """
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,7 @@ class FitResult:
     sandwich_cov: np.ndarray
     dof: int
     flavor: str
+    response_norm: float  # Euclidean norm of y, the scale of an exact fit
 
     @property
     def n(self) -> int:
@@ -75,9 +94,14 @@ def _validate(y, X):
     if X.shape[0] <= X.shape[1]:
         raise DimensionMismatch(
             f"need n > p, got n={X.shape[0]}, p={X.shape[1]}")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
         raise NonFinite("non-finite entries in regression input")
     return y, X
+
+
+@functools.cache
+def _default_names(p):
+    return tuple(f"x{j}" for j in range(p))
 
 
 def fit_ols(y, X, column_names=None, flavor="HC0"):
@@ -91,7 +115,7 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
     if flavor not in ("HC0", "HC1"):
         raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     if column_names is None:
-        column_names = tuple(f"x{j}" for j in range(p))
+        column_names = _default_names(p)
     else:
         column_names = tuple(column_names)
         if len(column_names) != p:
@@ -108,17 +132,29 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
         sandwich_cov=sandwich,
         dof=n - p,
         flavor=flavor,
+        response_norm=_norm(y),
     )
 
 
 def coefficient_test(fit: FitResult, index: int, reference="student_t"):
-    """White's robust test of H0: theta_index = 0."""
+    """White's robust test of H0: theta_index = 0.
+
+    Raises ``ZeroStdError`` when the test is degenerate: the fit is exact
+    (see ``_EXACT_FIT_RTOL``), or the residuals are invisible to the
+    coefficient, i.e. its sandwich variance is at most ``_EXACT_FIT_RTOL``
+    squared times its largest possible value for these residuals,
+    ||e||^2 (X'X)^-1_jj = dof * classical_cov_jj.  Both are ratios of
+    quantities that scale together, so the units of y and X cannot turn
+    a test into an error.
+    """
     if not 0 <= index < fit.p:
         raise DimensionMismatch(f"coefficient index {index} out of range")
     estimate = float(fit.coefficients[index])
     variance = float(fit.sandwich_cov[index, index])
     std_error = float(np.sqrt(max(variance, 0.0)))
-    if std_error < 1e-14:
+    bound = fit.dof * float(fit.classical_cov[index, index])
+    if (_norm(fit.residuals) <= _EXACT_FIT_RTOL * fit.response_norm
+            or variance <= _EXACT_FIT_RTOL ** 2 * bound):
         raise ZeroStdError(
             f"degenerate fit: robust standard error of coefficient {index} "
             f"is {std_error:.3e}")

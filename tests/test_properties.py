@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -15,7 +16,7 @@ from impactreg import (Dataset, SimConfig, coefficient_test,
                        mod_r2, partial_linear_mean_impact,
                        partial_linear_mean_slope, read_csv, residualize,
                        write_csv)
-from impactreg.errors import RankDeficient
+from impactreg.errors import RankDeficient, ZeroStdError
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.impact import sd_n
 from impactreg.simulate import generate_arrays
@@ -198,6 +199,25 @@ def test_hc1_sandwich_is_hc0_times_n_over_dof(replication):
     hc0 = fit_ols(y, design, flavor="HC0").sandwich_cov
     hc1 = fit_ols(y, design, flavor="HC1").sandwich_cov
     np.testing.assert_allclose(hc1, hc0 * (n / (n - p)), rtol=1e-14, atol=0)
+
+
+@given(study_replications(), st.integers(min_value=-60, max_value=60),
+       st.sampled_from(["HC0", "HC1"]))
+@settings(max_examples=50, deadline=None)
+def test_units_do_not_change_the_test(replication, k, flavor):
+    # multiplying y, or the whole design, by 2**k is exact in floating
+    # point, so the p-value keeps every bit and an exact fit stays one
+    y, X = replication
+    design = np.column_stack([np.ones(len(y)), X])
+    want = coefficient_test(fit_ols(y, design, flavor=flavor), 1).p_value
+    exact = design @ np.linspace(-1.0, 2.0, design.shape[1])
+    scale = 2.0 ** k
+    for y_k, exact_k, design_k in ((y * scale, exact * scale, design),
+                                   (y, exact, design * scale)):
+        got = coefficient_test(fit_ols(y_k, design_k, flavor=flavor), 1)
+        assert got.p_value.hex() == want.hex()
+        with pytest.raises(ZeroStdError):
+            coefficient_test(fit_ols(exact_k, design_k, flavor=flavor), 1)
 
 
 @st.composite

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import qr, solve_triangular
 
 import impactreg
 from impactreg import (backend, fit_ols, coefficient_test, residualize,
@@ -214,6 +215,56 @@ class TestInvariants:
         assert t2.p_value == pytest.approx(t1.p_value, abs=1e-8)
 
 
+def scipy_kernel(X, y, hc1):
+    """The kernel's algebra on SciPy's ``qr`` and ``solve_triangular``.
+
+    ``backend.ols_sandwich`` calls the LAPACK routines behind these two
+    wrappers with the same layouts and workspace sizes, so it must return
+    the same bits.  Both run on one BLAS thread: from 128 columns on,
+    LAPACK's blocked updates split work between threads.
+    """
+    with backend._ONE_BLAS_THREAD:
+        return _scipy_kernel(X, y, hc1)
+
+
+def _scipy_kernel(X, y, hc1):
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    n, p = X.shape
+    Q, R, piv = qr(X, mode="economic", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(R))
+    rank = 0 if diag[0] == 0.0 else int(
+        np.sum(diag >= backend.RANK_TOL * diag[0]))
+    if rank < p:
+        return None, None, None, None, rank, piv
+    coef = np.empty(p)
+    coef[piv] = solve_triangular(R, Q.T @ y, check_finite=False)
+    resid = y - X @ coef
+    B = np.empty((p, p))
+    B[piv] = solve_triangular(R, np.eye(p), check_finite=False)
+    sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
+    classical = sigma2 * (B @ B.T)
+    H = Q * resid[:, None]
+    sandwich = B @ (H.T @ H) @ B.T
+    if hc1:
+        sandwich *= n / (n - p)
+    return (coef, resid, 0.5 * (classical + classical.T),
+            0.5 * (sandwich + sandwich.T), rank, piv)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        if w.dtype == np.float64:
+            g, w = g.view(np.int64), w.view(np.int64)
+        np.testing.assert_array_equal(g, w)
+
+
 class TestKernelDifferential:
     """``backend.ols_sandwich`` against independent NumPy references."""
 
@@ -306,6 +357,49 @@ class TestKernelDifferential:
         fitted = kept @ np.linalg.lstsq(kept, dependent, rcond=None)[0]
         np.testing.assert_allclose(fitted, dependent, atol=1e-10)
 
+    # bit-for-bit against the SciPy composition; from 128 columns on,
+    # dgeqp3 and dorgqr switch to blocked code whose blocks follow lwork
+    @pytest.mark.parametrize("n, p", [(60, 2), (200, 5), (500, 11),
+                                      (200, 33), (300, 50), (400, 150),
+                                      (3, 2), (12, 11), (51, 50)])
+    @pytest.mark.parametrize("hc1", [False, True])
+    def test_same_bits_as_scipy(self, n, p, hc1):
+        for seed in range(3):
+            X, y = self.random_problem(seed, n, p)
+            assert_same_bits(backend.ols_sandwich(X, y, hc1),
+                             scipy_kernel(X, y, hc1))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("hc1", [False, True])
+    def test_same_bits_as_scipy_for_any_layout(self, layout, hc1):
+        X, y = self.random_problem(4, 120, 7)
+        if layout == "F":
+            X = np.asfortranarray(X)
+        elif layout == "strided":
+            X = np.repeat(X, 2, axis=1)[::-1, ::2][::-1]
+            y = np.repeat(y, 3)[::3]
+            assert not (X.flags.c_contiguous or X.flags.f_contiguous)
+        assert_same_bits(backend.ols_sandwich(X, y, hc1),
+                         scipy_kernel(X, y, hc1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("hc1", [False, True])
+    def test_same_bits_as_scipy_near_collinear(self, seed, hc1):
+        X, y = self.random_problem(seed, 200, 6)
+        noise = np.random.default_rng(seed).standard_normal(200)
+        X[:, 2] = X[:, 1] + 10.0 ** -(4 + seed) * noise
+        got = backend.ols_sandwich(X, y, hc1)
+        assert got[4] == 6
+        assert_same_bits(got, scipy_kernel(X, y, hc1))
+
+    @pytest.mark.parametrize("p", [3, 12, 40])
+    def test_same_rank_and_pivots_as_scipy_when_rank_deficient(self, p):
+        X, y = self.random_problem(p, 100, p)
+        X[:, -1] = 2.0 * X[:, 1] - X[:, 0]
+        got = backend.ols_sandwich(X, y)
+        assert got[4] == p - 1
+        assert_same_bits(got, scipy_kernel(X, y, False))
+
 
 def blas_counts():
     """The thread count of each OpenBLAS the kernel caps, left as it was."""
@@ -346,11 +440,12 @@ class TestOneBlasThread:
     def test_lapack_calls_run_on_one_thread(self, two_blas_threads,
                                             monkeypatch):
         seen = []
-        self.spy(monkeypatch, "qr", seen)
-        self.spy(monkeypatch, "solve_triangular", seen)
+        for name in ("dgeqp3", "dorgqr", "dtrtrs"):
+            self.spy(monkeypatch, name, seen)
         backend.ols_sandwich(*TestKernelDifferential.random_problem(0))
-        assert [name for name, _ in seen] == ["qr", "solve_triangular",
-                                              "solve_triangular"]
+        # a workspace query, then the call, for each factorization routine
+        assert [name for name, _ in seen] == ["dgeqp3", "dgeqp3", "dorgqr",
+                                              "dorgqr", "dtrtrs", "dtrtrs"]
         assert all(counts and set(counts) == {1} for _, counts in seen)
         assert set(blas_counts()) == {2}
 
@@ -364,7 +459,7 @@ class TestOneBlasThread:
     def test_count_restored_after_an_error(self, two_blas_threads,
                                            monkeypatch):
         seen = []
-        self.spy(monkeypatch, "solve_triangular", seen,
+        self.spy(monkeypatch, "dtrtrs", seen,
                  error=np.linalg.LinAlgError("singular"))
         with pytest.raises(np.linalg.LinAlgError):
             backend.ols_sandwich(*TestKernelDifferential.random_problem(0))

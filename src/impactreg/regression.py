@@ -10,7 +10,6 @@ with no explicit (X'X)^-1 product.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,10 @@ from .errors import (DimensionMismatch, InvalidConfig, NonFinite,
 # response norm.  The residuals of an exact fit are rounding noise of the
 # size of y's own digits, so the uncentred norm is the scale; both norms
 # scale with y and neither moves when the design is rescaled, so the
-# decision does not depend on the units of the data.
+# decision does not depend on the units of the data.  It does depend on
+# y's location: adding c to y leaves the residuals alone but grows ||y||,
+# so once ||e|| <= 1e-13 ||y + c|| the residuals are within rounding of
+# y's digits and the fit is reported as exact.
 _EXACT_FIT_RTOL = 1e-13
 
 
@@ -99,11 +101,6 @@ def _validate(y, X):
     return y, X
 
 
-@functools.cache
-def _default_names(p):
-    return tuple(f"x{j}" for j in range(p))
-
-
 def fit_ols(y, X, column_names=None, flavor="HC0"):
     """Fit y on the design X (leading intercept column by convention).
 
@@ -115,7 +112,7 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
     if flavor not in ("HC0", "HC1"):
         raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     if column_names is None:
-        column_names = _default_names(p)
+        column_names = tuple(f"x{j}" for j in range(p))
     else:
         column_names = tuple(column_names)
         if len(column_names) != p:
@@ -145,7 +142,9 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
     squared times its largest possible value for these residuals,
     ||e||^2 (X'X)^-1_jj = dof * classical_cov_jj.  Both are ratios of
     quantities that scale together, so the units of y and X cannot turn
-    a test into an error.
+    a test into an error.  The rule is not shift-free: a constant added
+    to y so large that ||e|| <= 1e-13 ||y|| makes the fit exact (under
+    ``analyze --hierarchy`` that is exit 3).
     """
     if not 0 <= index < fit.p:
         raise DimensionMismatch(f"coefficient index {index} out of range")

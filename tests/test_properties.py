@@ -220,6 +220,27 @@ def test_units_do_not_change_the_test(replication, k, flavor):
             coefficient_test(fit_ols(exact_k, design_k, flavor=flavor), 1)
 
 
+@given(study_replications(), st.floats(min_value=-1e3, max_value=1e3),
+       st.sampled_from(["HC0", "HC1"]))
+@settings(max_examples=50, deadline=None)
+def test_shifted_response_keeps_the_test(replication, shift, flavor):
+    # adding c to y moves only the intercept; it is not exact in floating
+    # point, so the p-value keeps its value to rounding, not its bits.  The
+    # exact-fit rule is scale-free but not shift-free (see
+    # coefficient_test): at |c| = 1e3 sd(y) it must still tell a real
+    # test from an exact fit
+    y, X = replication
+    design = np.column_stack([np.ones(len(y)), X])
+    want = coefficient_test(fit_ols(y, design, flavor=flavor), 1).p_value
+    got = coefficient_test(
+        fit_ols(y + shift * y.std(), design, flavor=flavor), 1).p_value
+    assert _rel(got, want) <= 1e-8
+    exact = design @ np.linspace(-1.0, 2.0, design.shape[1])
+    with pytest.raises(ZeroStdError):
+        coefficient_test(fit_ols(exact + shift * exact.std(), design,
+                                 flavor=flavor), 1)
+
+
 @st.composite
 def heteroskedastic_designs(draw):
     """A Dataset (y, x, a0 ..) whose noise spread grows with x and a0."""

@@ -221,7 +221,9 @@ def scipy_kernel(X, y, hc1):
     ``backend.ols_sandwich`` calls the LAPACK routines behind these two
     wrappers with the same layouts and workspace sizes, so it must return
     the same bits.  Both run on one BLAS thread: from 128 columns on,
-    LAPACK's blocked updates split work between threads.
+    LAPACK's blocked updates split work between threads.  The bits follow
+    the internals of the installed SciPy's wrappers (workspace queries,
+    the transposed triangular solve), so CI pins the SciPy version.
     """
     with backend._ONE_BLAS_THREAD:
         return _scipy_kernel(X, y, hc1)

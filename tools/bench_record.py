@@ -2,11 +2,11 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/bench_record.py --pr 8 --seed 1 --seconds 45
+    python3 tools/bench_record.py --pr 8 --seed 1
 
 It runs, one at a time and waiting for each to finish:
 
-* ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+* ``python3 perfbench/run.py --workload W --seed S --seconds 45 --trace 0``
   for every workload listed in ``BENCHMARK.json``; it keeps the last line
   (the end-to-end metrics and the output checks) and, from the first line,
   ``nproc``, the BLAS builds and the BLAS thread variables;
@@ -15,10 +15,10 @@ It runs, one at a time and waiting for each to finish:
   wall time;
 * ``impactreg simulate`` with the Table-1 (m=5) and Table-2 (m=10) presets
   at ``--threads 1`` and ``--threads nproc``, in this process, as
-  replications per second over ``--repeats`` studies of ``--reps``
-  replications each.
+  replications per second over 3 studies of 1,000 replications each.
 
-The file is written to the root of the checkout.  Nothing under
+Every BENCH file is recorded at these fixed run lengths, so their rows can
+be compared.  The file is written to the root of the checkout.  Nothing under
 ``perfbench/`` is changed.
 """
 
@@ -38,13 +38,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 STUDIES = (("table1", 5), ("table2", 10))
+SECONDS = 45  # length of each perfbench run
+REPS = 1000  # replications per simulate study
+REPEATS = 3  # simulate studies per preset and thread count
 
 
-def perfbench(workload, seed, seconds):
+def perfbench(workload, seed):
     """(environment, result) from the first and last lines of run.py."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     return json.loads(lines[0])["environment"], json.loads(lines[-1])
@@ -63,7 +66,7 @@ def tier1():
             "returncode": done.returncode, "summary": summary}
 
 
-def simulate_rates(nproc, reps, repeats, seed):
+def simulate_rates(nproc, seed):
     """Replications per second of the preset studies, in this process."""
     sys.path.insert(0, str(SRC))
     from impactreg import cli
@@ -74,16 +77,16 @@ def simulate_rates(nproc, reps, repeats, seed):
         for preset, m in STUDIES:
             for threads in sorted({1, nproc}):
                 argv = ["simulate", "--preset", preset, "--m", str(m),
-                        "--reps", str(reps), "--seed", str(seed),
+                        "--reps", str(REPS), "--seed", str(seed),
                         "--threads", str(threads), "--out", out]
                 rates = []
-                for _ in range(repeats):
+                for _ in range(REPEATS):
                     t0 = time.perf_counter()
                     if cli.main(argv) != 0:
                         raise RuntimeError(f"simulate failed: {argv}")
-                    rates.append(reps / (time.perf_counter() - t0))
+                    rates.append(REPS / (time.perf_counter() - t0))
                 rows.append({"preset": preset, "m": m, "threads": threads,
-                             "reps": reps, "reps_per_s": rates,
+                             "reps": REPS, "reps_per_s": rates,
                              "reps_per_s_median": statistics.median(rates)})
     return rows
 
@@ -92,17 +95,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=45)
-    parser.add_argument("--reps", type=int, default=1000)
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {}
     for workload in benchmark["workloads"]:
-        env, result = perfbench(workload["name"], args.seed, args.seconds)
+        env, result = perfbench(workload["name"], args.seed)
         end_to_end[workload["name"]] = {"seed": args.seed,
-                                        "seconds": args.seconds, **result}
+                                        "seconds": SECONDS, **result}
     record = {
         "pr": args.pr,
         "environment": {key: env[key] for key in
@@ -110,8 +110,7 @@ def main(argv=None):
                          "python", "numpy", "scipy", "start_method")},
         "end_to_end": end_to_end,
         "tier1": tier1(),
-        "simulate": simulate_rates(env["nproc"], args.reps, args.repeats,
-                                   args.seed),
+        "simulate": simulate_rates(env["nproc"], args.seed),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -13,6 +13,12 @@ spin beside it and double its CPU time.  Parallelism is the job of
 ``simulate``'s process pool.  Each call holds every loaded OpenBLAS that
 exports ``openblas_set_num_threads_local`` at one thread and restores the
 previous count on the way out; with any other BLAS it runs unchanged.
+The same cap covers the whole of ``hierarchy.order_indices``: its
+correlation passes are the package's other matmuls on tall data, and the
+cap is depth-counted, so the fits nested in it skip their own save and
+restore.  The only BLAS calls left outside the cap are the normal-equation
+solves and dot products of ``oracle``, which no ``analyze`` or
+``simulate`` path reaches.
 
 The factorization and the triangular solves call LAPACK (``dgeqp3``,
 ``dorgqr``, ``dtrtrs``) through ``scipy.linalg.lapack`` directly: at 500
@@ -181,8 +187,9 @@ def ols_sandwich(X, y, hc1=False):
 
         sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
         classical = sigma2 * (B @ B.T)
-        H = Q * resid[:, None]
-        sandwich = B @ (H.T @ H) @ B.T
+        # H = diag(e) Q, formed in Q's place: Q is not read again
+        Q *= resid[:, None]
+        sandwich = B @ (Q.T @ Q) @ B.T
         if hc1:
             sandwich *= n / (n - p)
         return (coef, resid, 0.5 * (classical + classical.T),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import backend
 from .dataset import Dataset
 from .errors import (DegenerateCovariate, DimensionMismatch, InvalidConfig,
                      RankDeficient)
@@ -58,36 +59,41 @@ def order_indices(x_focus, candidates):
     if np.any(sd == 0.0):
         raise DegenerateCovariate("a candidate covariate is constant")
 
-    # the candidates are centred and their norms taken once; each pass
-    # correlates the current focus residual with the remaining columns.
-    # The copy is column-major, like the copy candidates[:, remaining]
-    # that NumPy's indexing returns, so each column is summed in the same
-    # order and the correlations keep every bit of centring that copy.
-    centred = np.array(candidates, order="F")
-    centred -= centred.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
-    remaining = list(range(q))
-    order: list[int] = []
-    resid = x_focus - x_focus.mean()
-    while len(remaining) > 1:
-        v = resid - resid.mean()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = (np.abs(centred[:, remaining].T @ v)
-                    / (np.sqrt(v @ v) * norms[remaining]))
-        # argmin with position-order tie-break; nan (degenerate residual
-        # direction) sorts last
-        corr = np.where(np.isnan(corr), np.inf, corr)
-        pick = remaining[int(np.argmin(corr))]
-        order.append(pick)
-        remaining.remove(pick)
-        X = np.column_stack([np.ones(n), candidates[:, order]])
-        try:
-            resid = fit_ols(x_focus, X).residuals
-        except (RankDeficient, DimensionMismatch):
-            # focus is now fully explained, or no row is left to explain it
-            # with: append the rest in position order
-            order.extend(remaining)
-            return order
+    # one BLAS thread, as in the kernel (see backend): on tall data the
+    # correlations' matmuls would otherwise share out work to threads that
+    # only spin, and their last bits would follow the core count.  The
+    # cap is entered once, so the nested fits skip their save and restore.
+    with backend._ONE_BLAS_THREAD:
+        # the candidates are centred and their norms taken once; each pass
+        # correlates the current focus residual with the remaining
+        # columns.  The copy is column-major, like the copy
+        # candidates[:, remaining] that NumPy's indexing returns, so each
+        # column is summed in the same order and the correlations keep
+        # every bit of centring that copy.
+        centred = np.array(candidates, order="F")
+        centred -= centred.mean(axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
+        remaining = list(range(q))
+        order: list[int] = []
+        resid = x_focus - x_focus.mean()
+        while len(remaining) > 1:
+            v = resid - resid.mean()
+            with np.errstate(invalid="ignore", divide="ignore"):
+                corr = (np.abs(centred[:, remaining].T @ v)
+                        / (np.sqrt(v @ v) * norms[remaining]))
+            # argmin with position-order tie-break; nan (degenerate
+            # residual direction) sorts last
+            corr = np.where(np.isnan(corr), np.inf, corr)
+            pick = remaining[int(np.argmin(corr))]
+            order.append(pick)
+            remaining.remove(pick)
+            X = np.column_stack([np.ones(n), candidates[:, order]])
+            try:
+                resid = fit_ols(x_focus, X).residuals
+            except (RankDeficient, DimensionMismatch):
+                # focus is now fully explained, or no row is left to
+                # explain it with: append the rest in position order
+                break
     order.extend(remaining)
     return order
 

@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import qr, solve_triangular
 
 import impactreg
-from impactreg import (backend, fit_ols, coefficient_test, residualize,
-                       write_csv)
+from impactreg import (backend, fit_ols, coefficient_test, hierarchy,
+                       residualize, write_csv)
 from impactreg.dataset import Dataset
 from impactreg.errors import (DimensionMismatch, NonFinite, RankDeficient,
                               UnknownColumn, ZeroStdError)
@@ -428,16 +428,16 @@ def two_blas_threads():
 
 class TestOneBlasThread:
     @staticmethod
-    def spy(monkeypatch, name, seen, error=None):
-        real = getattr(backend, name)
+    def spy(monkeypatch, name, seen, error=None, module=backend):
+        real = getattr(module, name)
 
-        def lapack(*args, **kwargs):
+        def call(*args, **kwargs):
             seen.append((name, blas_counts()))
             if error is not None:
                 raise error
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(backend, name, lapack)
+        monkeypatch.setattr(module, name, call)
 
     def test_lapack_calls_run_on_one_thread(self, two_blas_threads,
                                             monkeypatch):
@@ -466,6 +466,40 @@ class TestOneBlasThread:
         with pytest.raises(np.linalg.LinAlgError):
             backend.ols_sandwich(*TestKernelDifferential.random_problem(0))
         assert set(seen[0][1]) == {1}
+        assert set(blas_counts()) == {2}
+
+    def test_ordering_runs_on_one_thread(self, two_blas_threads,
+                                         monkeypatch):
+        # the fits sit between the ordering's correlation passes, outside
+        # the kernel: they see one thread only if the cap spans the ordering
+        seen = []
+        self.spy(monkeypatch, "fit_ols", seen, module=hierarchy)
+        rng = np.random.default_rng(0)
+        cand = rng.standard_normal((200, 5))
+        x1 = cand @ rng.standard_normal(5) + rng.standard_normal(200)
+        assert sorted(hierarchy.order_indices(x1, cand)) == list(range(5))
+        assert len(seen) == 4
+        assert all(counts and set(counts) == {1} for _, counts in seen)
+        assert set(blas_counts()) == {2}
+
+        # duplicate columns: the second fit is rank-deficient, and the rest
+        # is appended in position order
+        seen.clear()
+        u, v = rng.standard_normal((2, 50))
+        x1 = v + 0.01 * rng.standard_normal(50)
+        assert hierarchy.order_indices(
+            x1, np.column_stack([u, u, v])) == [0, 1, 2]
+        assert len(seen) == 2
+        assert all(counts and set(counts) == {1} for _, counts in seen)
+        assert set(blas_counts()) == {2}
+
+        # an error raised by the first fit
+        seen.clear()
+        self.spy(monkeypatch, "fit_ols", seen, module=hierarchy,
+                 error=np.linalg.LinAlgError("singular"))
+        with pytest.raises(np.linalg.LinAlgError):
+            hierarchy.order_indices(x1, np.column_stack([u, u, v]))
+        assert len(seen) == 1 and set(seen[0][1]) == {1}
         assert set(blas_counts()) == {2}
 
     def test_overlapping_calls_from_threads_restore_the_count(
@@ -508,6 +542,8 @@ def test_reports_independent_of_blas_threads(tmp_path):
          "--reps", "30", "--seed", "3"],
         ["analyze", "--data", str(data), "--response", "y", "--focus", "x1",
          "--adjust", ",".join(f"x{j}" for j in range(2, 11))],
+        ["analyze", "--data", str(data), "--response", "y", "--focus", "x1",
+         "--hierarchy"],
     ]
     src = str(Path(impactreg.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src,

@@ -17,9 +17,12 @@ It runs, one at a time and waiting for each to finish:
   at ``--threads 1`` and ``--threads nproc``, in this process, as
   replications per second over 3 studies of 1,000 replications each.
 
-Every BENCH file is recorded at these fixed run lengths, so their rows can
-be compared.  The file is written to the root of the checkout.  Nothing under
-``perfbench/`` is changed.
+It also records ``git rev-parse HEAD`` and whether the checkout differs
+from it (``git status --porcelain`` lists anything), taken before the runs,
+so each file's rows name the tree they measured; both are ``null`` outside
+a git checkout.  Every BENCH file is recorded at these fixed run lengths,
+so their rows can be compared.  The file is written to the root of the
+checkout.  Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -41,6 +44,19 @@ STUDIES = (("table1", 5), ("table2", 10))
 SECONDS = 45  # length of each perfbench run
 REPS = 1000  # replications per simulate study
 REPEATS = 3  # simulate studies per preset and thread count
+
+
+def git_tree():
+    """HEAD's commit and whether the checkout differs from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    try:
+        return {"commit": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain"))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}
 
 
 def perfbench(workload, seed):
@@ -97,6 +113,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
+    tree = git_tree()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {}
     for workload in benchmark["workloads"]:
@@ -105,6 +122,7 @@ def main(argv=None):
                                         "seconds": SECONDS, **result}
     record = {
         "pr": args.pr,
+        "git": tree,
         "environment": {key: env[key] for key in
                         ("nproc", "numpy_blas", "scipy_blas", "thread_env",
                          "python", "numpy", "scipy", "start_method")},

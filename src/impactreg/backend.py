@@ -13,21 +13,25 @@ spin beside it and double its CPU time.  Parallelism is the job of
 ``simulate``'s process pool.  Each call holds every loaded OpenBLAS that
 exports ``openblas_set_num_threads_local`` at one thread and restores the
 previous count on the way out; with any other BLAS it runs unchanged.
-The same cap covers the whole of ``hierarchy.order_indices``: its
-correlation passes are the package's other matmuls on tall data, and the
-cap is depth-counted, so the fits nested in it skip their own save and
-restore.  The only BLAS calls left outside the cap are the normal-equation
-solves and dot products of ``oracle``, which no ``analyze`` or
-``simulate`` path reaches.
+The cap is depth-counted: only the outermost entry sets and restores the
+counts, and the calls nested in it set nothing.  It is entered once per
+chunk of replications by ``simulate._replicate_chunk`` (the serial study
+is one chunk), once per ordering by ``hierarchy.order_indices``, whose
+correlation passes are the package's other matmuls on tall data, and
+once per hierarchy by ``hierarchy.hierarchy_pvalues``.  The only BLAS
+calls left outside the cap are the normal-equation solves and dot
+products of ``oracle``, which no ``analyze`` or ``simulate`` path
+reaches.
 
 The factorization and the triangular solves call LAPACK (``dgeqp3``,
 ``dorgqr``, ``dtrtrs``) through ``scipy.linalg.lapack`` directly: at 500
 rows the input checks, batching and workspace queries of
 ``scipy.linalg.qr`` and ``solve_triangular`` cost about 35-40% of a fit.
 The calls mirror the layouts SciPy uses -- X copied once to column-major
-order, the queried optimal ``lwork``, R passed to ``dtrtrs`` as its
-lower-triangular transpose with ``trans=1`` -- so the outputs are bit for
-bit those of ``qr(X, mode="economic", pivoting=True)`` followed by two
+order, the optimal ``lwork`` (queried once per routine and shape, then
+reused), R passed to ``dtrtrs`` as its lower-triangular transpose with
+``trans=1`` -- so the outputs are bit for bit those of
+``qr(X, mode="economic", pivoting=True)`` followed by two
 ``solve_triangular`` calls; ``tests/test_regression.py`` keeps that
 composition as the reference and checks it.
 """
@@ -106,19 +110,38 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+# optimal lwork of each (routine, shape of its first argument): the
+# query's answer depends on the shape alone.  Two small entries per
+# distinct (n, p) that the process fits.
+_LWORK: dict = {}
+
+
 def _lapack(routine, *args, **kwargs):
     """Outputs of ``routine`` run with its optimal workspace, as SciPy does.
 
-    The workspace query and the call both pass ``overwrite_a=1``: the
-    first argument is a column-major array owned by the kernel, so
-    neither copies it (the query leaves it untouched).
+    The workspace is queried once per routine and shape of the first
+    argument, then reused.  The query and the call both pass
+    ``overwrite_a=1``: the first argument is a column-major array owned
+    by the kernel, so neither copies it (the query leaves it untouched).
     """
-    lwork = int(routine(*args, lwork=-1, overwrite_a=1, **kwargs)[-2][0])
+    key = (routine, args[0].shape)
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        lwork = _LWORK[key] = int(
+            routine(*args, lwork=-1, overwrite_a=1, **kwargs)[-2][0])
     *outputs, info = routine(*args, lwork=lwork, overwrite_a=1, **kwargs)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of "
                          f"{routine.__name__}")
     return outputs[:-1]
+
+
+@functools.cache
+def _identity(p):
+    """A read-only column-major p x p identity, copied by each fit."""
+    eye = np.eye(p, order="F")
+    eye.flags.writeable = False
+    return eye
 
 
 def _solve_upper(R, b):
@@ -183,7 +206,8 @@ def ols_sandwich(X, y, hc1=False):
 
         # B = P R^-1, so (X'X)^-1 = B B'
         B = np.empty((p, p))
-        B[piv] = _solve_upper(R, np.eye(p, order="F"))
+        # dtrtrs solves in place, so it gets a copy of the identity
+        B[piv] = _solve_upper(R, np.array(_identity(p), order="F"))
 
         sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
         classical = sigma2 * (B @ B.T)

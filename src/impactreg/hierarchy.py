@@ -16,8 +16,7 @@ import numpy as np
 
 from . import backend
 from .dataset import Dataset
-from .errors import (DegenerateCovariate, DimensionMismatch, InvalidConfig,
-                     RankDeficient)
+from .errors import DegenerateCovariate, InvalidConfig, NonFinite
 from .regression import coefficient_test, fit_ols
 
 
@@ -53,11 +52,17 @@ def order_indices(x_focus, candidates):
     n, q = candidates.shape
     if q == 0:
         return []
+    # constancy is tested exactly: the std of a constant column whose
+    # mean does not round exactly is 1e-17..1e-13, not 0
     if np.ptp(x_focus) == 0.0:
         raise DegenerateCovariate("focus covariate is constant")
-    sd = candidates.std(axis=0)
-    if np.any(sd == 0.0):
+    if np.any(np.ptp(candidates, axis=0) == 0.0):
         raise DegenerateCovariate("a candidate covariate is constant")
+    # the residualizations below call the kernel, which does not check
+    # its input; with one candidate there is nothing to residualize
+    if q > 1 and not (np.isfinite(x_focus).all()
+                      and np.isfinite(candidates).all()):
+        raise NonFinite("non-finite entries in regression input")
 
     # one BLAS thread, as in the kernel (see backend): on tall data the
     # correlations' matmuls would otherwise share out work to threads that
@@ -73,6 +78,10 @@ def order_indices(x_focus, candidates):
         centred = np.array(candidates, order="F")
         centred -= centred.mean(axis=0)
         norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
+        # the picks so far, after an intercept column: each
+        # residualization fits a leading slice of it
+        design = np.empty((n, q + 1))
+        design[:, 0] = 1.0
         remaining = list(range(q))
         order: list[int] = []
         resid = x_focus - x_focus.mean()
@@ -87,13 +96,16 @@ def order_indices(x_focus, candidates):
             pick = remaining[int(np.argmin(corr))]
             order.append(pick)
             remaining.remove(pick)
-            X = np.column_stack([np.ones(n), candidates[:, order]])
-            try:
-                resid = fit_ols(x_focus, X).residuals
-            except (RankDeficient, DimensionMismatch):
-                # focus is now fully explained, or no row is left to
-                # explain it with: append the rest in position order
+            p = len(order) + 1
+            if n <= p:
+                # no row is left to explain the focus with
                 break
+            design[:, p - 1] = candidates[:, pick]
+            resid = backend.ols_sandwich(design[:, :p], x_focus)[1]
+            if resid is None:
+                # rank < p: the focus is now fully explained
+                break
+    # the rest follow in position order
     order.extend(remaining)
     return order
 
@@ -123,31 +135,38 @@ def fixed_sequence_test(p_values, alpha):
 
 
 def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
-                      flavor="HC0", reference="student_t"):
+                      flavor="HC0", reference="student_t", column_names=None):
     """Sequential step p-values with early stopping (array form).
 
     Returns ``(pvalues, rejected_prefix)``; p-values past the first
-    non-rejection are ``None`` (never evaluated).
+    non-rejection are ``None`` (never evaluated).  ``column_names`` names
+    the columns of the full design (intercept, focus, ordered...), for
+    the errors of the step fits; by default they are ``fit_ols``'s.
     """
     n = y.shape[0]
     q = ordered.shape[1]
     steps = q + 1 if include_bivariate else q
     pvalues: list = [None] * steps
     rejected = 0
-    ones = np.ones(n)
-    for step in range(steps):
-        if include_bivariate:
-            n_adjust = step
-        else:
-            n_adjust = step + 1
-        X = np.column_stack([ones, x_focus, ordered[:, :n_adjust]])
-        p = coefficient_test(fit_ols(y, X, flavor=flavor), 1,
-                             reference).p_value
-        pvalues[step] = p
-        if p <= alpha:
-            rejected += 1
-        else:
-            break
+    # every step fits a leading slice of one design [1, x_focus, ordered]
+    design = np.empty((n, q + 2))
+    design[:, 0] = 1.0
+    design[:, 1] = x_focus
+    design[:, 2:] = ordered
+    first = 2 if include_bivariate else 3
+    # one cap for all the steps' fits (see backend)
+    with backend._ONE_BLAS_THREAD:
+        for step in range(steps):
+            p = first + step
+            names = None if column_names is None else column_names[:p]
+            pvalue = coefficient_test(
+                fit_ols(y, design[:, :p], names, flavor), 1,
+                reference).p_value
+            pvalues[step] = pvalue
+            if pvalue <= alpha:
+                rejected += 1
+            else:
+                break
     return pvalues, rejected
 
 
@@ -173,7 +192,8 @@ def run_hierarchy(y_col, focus, candidates, data: Dataset, alpha=0.05,
     ordered = data.columns(ordering) if ordering else np.empty((data.n, 0))
     pvalues, rejected = hierarchy_pvalues(
         y, x_focus, ordered, alpha, include_bivariate=include_bivariate,
-        flavor=flavor, reference=reference)
+        flavor=flavor, reference=reference,
+        column_names=("intercept", focus, *ordering))
     confounders = max(0, rejected - 1) if include_bivariate else rejected
     return HierarchyResult(
         focus=focus,

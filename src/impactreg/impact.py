@@ -72,8 +72,10 @@ def _check_pair(y, x):
 
 
 def _check_spread(x, what="covariate"):
+    # a constant column is caught exactly first: its sd_n is rounding
+    # noise that need not fall below the relative bound
     s = sd_n(x)
-    if s < 1e-12 * abs(float(np.mean(x))) + 1e-300:
+    if np.ptp(x) == 0.0 or s < 1e-12 * abs(float(np.mean(x))) + 1e-300:
         raise DegenerateCovariate(f"{what} has (numerically) zero variance")
     return s
 

@@ -10,6 +10,7 @@ with no explicit (X'X)^-1 product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +102,11 @@ def _validate(y, X):
     return y, X
 
 
+@functools.cache
+def _default_names(p):
+    return tuple(f"x{j}" for j in range(p))
+
+
 def fit_ols(y, X, column_names=None, flavor="HC0"):
     """Fit y on the design X (leading intercept column by convention).
 
@@ -112,7 +118,7 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
     if flavor not in ("HC0", "HC1"):
         raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     if column_names is None:
-        column_names = tuple(f"x{j}" for j in range(p))
+        column_names = _default_names(p)
     else:
         column_names = tuple(column_names)
         if len(column_names) != p:

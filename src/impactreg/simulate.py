@@ -21,6 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import backend
 from .dataset import Dataset
 from .errors import ImpactregError, InvalidConfig
 from .hierarchy import hierarchy_pvalues, order_indices
@@ -174,7 +175,10 @@ def _replicate(config: SimConfig, replication_index: int):
 
 
 def _replicate_chunk(config: SimConfig, indices):
-    return [_replicate(config, i) for i in indices]
+    # one BLAS-thread cap for the whole chunk (see backend), so the
+    # replications' fits skip their own save and restore
+    with backend._ONE_BLAS_THREAD:
+        return [_replicate(config, i) for i in indices]
 
 
 def run_study(config: SimConfig, threads: int = 1) -> SimReport:
@@ -193,7 +197,7 @@ def run_study(config: SimConfig, threads: int = 1) -> SimReport:
                 for i, rec in zip(chunk, out):
                     results[i] = rec
     else:
-        results = [_replicate(config, i) for i in range(reps)]
+        results = _replicate_chunk(config, range(reps))
 
     rows = np.array([r[:4] for r in results], dtype=float)
     failed = np.array([r[4] for r in results], dtype=bool)

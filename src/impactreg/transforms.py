@@ -268,11 +268,13 @@ def _dichotomize(data, step, log):
 def _standardize(data, step, log):
     label = _field(step, "column")
     column = data.column(label)
-    sd = column.std()
-    if sd == 0.0:
+    # exact: the std of a constant column whose mean does not round
+    # exactly is 1e-17..1e-13, not 0
+    if np.ptp(column) == 0.0:
         raise InvalidConfig(f"cannot standardize constant column {label!r}")
     log.append(f"standardize({label})")
-    return _replace_column(data, label, (column - column.mean()) / sd)
+    return _replace_column(data, label,
+                           (column - column.mean()) / column.std())
 
 
 def _augment_quadratic(data, step, log):

@@ -178,6 +178,39 @@ class TestAnalyze:
         assert code == 3
         assert "numerical" in capsys.readouterr().err
 
+    def test_hierarchy_error_names_a_csv_label(self, tmp_path, capsys):
+        # c3 = 2 c1: the ordering collapses, and the first step that
+        # adjusts for both fails on a rank-deficient design
+        rng = np.random.default_rng(0)
+        c1, c2, x, e = rng.standard_normal((4, 200))
+        from impactreg.dataset import Dataset
+        data = Dataset(("y", "x", "c1", "c2", "c3"), np.column_stack(
+            [x + c1 + c2 + e, x + c1, c1, c2, 2 * c1]))
+        path = tmp_path / "c.csv"
+        write_csv(data, path)
+        code = run(["analyze", "--data", str(path), "--response", "y",
+                    "--focus", "x", "--hierarchy"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "rank deficient: column 'c1'" in err \
+            or "rank deficient: column 'c3'" in err, err
+
+    @pytest.mark.parametrize("n", [97, 1000])
+    def test_constant_candidate_is_reported_as_constant(self, tmp_path,
+                                                        capsys, n):
+        # a column of 0.1 has a std of 1.4e-17 at these n, not 0
+        rng = np.random.default_rng(0)
+        x, c1 = rng.standard_normal((2, n))
+        from impactreg.dataset import Dataset
+        data = Dataset(("y", "x", "c1", "c2"),
+                       np.column_stack([x + c1, x, c1, np.full(n, 0.1)]))
+        path = tmp_path / "c.csv"
+        write_csv(data, path)
+        code = run(["analyze", "--data", str(path), "--response", "y",
+                    "--focus", "x", "--hierarchy"])
+        assert code == 3
+        assert "a candidate covariate is constant" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_json_report_validates(self, tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactreg import (fixed_sequence_test, order_covariates, run_hierarchy,
                        fit_ols, coefficient_test)
 from impactreg.dataset import Dataset
-from impactreg.errors import DegenerateCovariate
+from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
+                              RankDeficient)
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 
 
@@ -31,6 +34,72 @@ def brute_force_order(x_focus, candidates):
         resid = x_focus - X @ coef
     order.extend(remaining)
     return order
+
+
+def fit_ols_order(x_focus, candidates):
+    """The ordering with one ``fit_ols`` call on a fresh design per pick.
+
+    The reference for ``order_indices``: the same correlation passes, and
+    each residualization fits ``[1, picks so far]`` built anew; a fit with
+    no spare row or of rank < p ends the picks.
+    """
+    n, q = candidates.shape
+    centred = np.array(candidates, order="F")
+    centred -= centred.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
+    remaining = list(range(q))
+    order = []
+    resid = x_focus - x_focus.mean()
+    while len(remaining) > 1:
+        v = resid - resid.mean()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = (np.abs(centred[:, remaining].T @ v)
+                    / (np.sqrt(v @ v) * norms[remaining]))
+        corr = np.where(np.isnan(corr), np.inf, corr)
+        pick = remaining[int(np.argmin(corr))]
+        order.append(pick)
+        remaining.remove(pick)
+        X = np.column_stack([np.ones(n), candidates[:, order]])
+        try:
+            resid = fit_ols(x_focus, X).residuals
+        except (RankDeficient, DimensionMismatch):
+            break
+    order.extend(remaining)
+    return order
+
+
+@st.composite
+def ordering_problems(draw):
+    """(x_focus, candidates) of one of five kinds of design."""
+    kind = draw(st.sampled_from(["random", "near_collinear", "duplicate",
+                                 "few_rows", "heteroskedastic"]))
+    q = draw(st.integers(min_value=2, max_value=8))
+    if kind == "few_rows":
+        # n = q + 2 keeps a spare row; at n <= q the last fits have none
+        n = draw(st.integers(min_value=max(q, 3), max_value=q + 2))
+    else:
+        n = draw(st.integers(min_value=q + 3, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cand = rng.standard_normal((n, q))
+    noise = rng.standard_normal(n)
+    if kind == "near_collinear":
+        i, j = rng.choice(q, size=2, replace=False)
+        cand[:, j] = cand[:, i] + 1e-6 * rng.standard_normal(n)
+    elif kind == "duplicate":
+        i, j = rng.choice(q, size=2, replace=False)
+        cand[:, j] = cand[:, i]
+    elif kind == "heteroskedastic":
+        cand = rng.standard_t(3, size=(n, q))
+        noise *= np.exp(cand[:, 0])
+    x1 = cand @ rng.standard_normal(q) + noise
+    return x1, cand
+
+
+@given(ordering_problems())
+@settings(max_examples=200, deadline=None)
+def test_ordering_matches_the_fit_ols_loop(problem):
+    x1, cand = problem
+    assert order_indices(x1, cand) == fit_ols_order(x1, cand)
 
 
 class TestOrdering:
@@ -68,10 +137,13 @@ class TestOrdering:
         x1 = cand @ rng.standard_normal(q) + rng.standard_normal(n)
         assert order_indices(x1, cand) == brute_force_order(x1, cand)
 
-    def test_constant_candidate_raises(self):
+    @pytest.mark.parametrize("n", [30, 97, 500, 1000])
+    @pytest.mark.parametrize("value", [2.0, 0.1, 0.3, 0.7, 2.7])
+    def test_constant_candidate_raises(self, value, n):
+        # most of these columns have a std of 1e-17..1e-13, not 0
         rng = np.random.default_rng(3)
-        x1 = rng.standard_normal(30)
-        cand = np.column_stack([rng.standard_normal(30), np.full(30, 2.0)])
+        x1 = rng.standard_normal(n)
+        cand = np.column_stack([rng.standard_normal(n), np.full(n, value)])
         with pytest.raises(DegenerateCovariate):
             order_indices(x1, cand)
 

@@ -57,6 +57,12 @@ class TestLinearImpact:
         with pytest.raises(DegenerateCovariate):
             linear_mean_impact(np.array([1., 2., 3.]), np.full(3, 4.0))
 
+    def test_constant_focus_with_inexact_mean_is_degenerate(self):
+        # sd_n of 97 copies of 0.1 is 2.3e-9, above the relative bound
+        y = np.random.default_rng(0).standard_normal(97)
+        with pytest.raises(DegenerateCovariate):
+            linear_mean_impact(y, np.full(97, 0.1))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linear_mean_impact(np.ones(3), np.ones(4))

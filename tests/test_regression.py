@@ -428,8 +428,8 @@ def two_blas_threads():
 
 class TestOneBlasThread:
     @staticmethod
-    def spy(monkeypatch, name, seen, error=None, module=backend):
-        real = getattr(module, name)
+    def spy(monkeypatch, name, seen, error=None):
+        real = getattr(backend, name)
 
         def call(*args, **kwargs):
             seen.append((name, blas_counts()))
@@ -437,19 +437,28 @@ class TestOneBlasThread:
                 raise error
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, call)
+        monkeypatch.setattr(backend, name, call)
 
     def test_lapack_calls_run_on_one_thread(self, two_blas_threads,
                                             monkeypatch):
+        monkeypatch.setattr(backend, "_LWORK", {})
         seen = []
         for name in ("dgeqp3", "dorgqr", "dtrtrs"):
             self.spy(monkeypatch, name, seen)
-        backend.ols_sandwich(*TestKernelDifferential.random_problem(0))
+        problem = TestKernelDifferential.random_problem(0)
+        first = backend.ols_sandwich(*problem)
         # a workspace query, then the call, for each factorization routine
         assert [name for name, _ in seen] == ["dgeqp3", "dgeqp3", "dorgqr",
                                               "dorgqr", "dtrtrs", "dtrtrs"]
         assert all(counts and set(counts) == {1} for _, counts in seen)
         assert set(blas_counts()) == {2}
+
+        # the same shape again: the workspace sizes are reused, not queried
+        seen.clear()
+        again = backend.ols_sandwich(*problem)
+        assert [name for name, _ in seen] == ["dgeqp3", "dorgqr", "dtrtrs",
+                                              "dtrtrs"]
+        assert_same_bits(again, first)
 
     def test_count_restored_after_rank_deficient_return(self,
                                                         two_blas_threads):
@@ -473,7 +482,7 @@ class TestOneBlasThread:
         # the fits sit between the ordering's correlation passes, outside
         # the kernel: they see one thread only if the cap spans the ordering
         seen = []
-        self.spy(monkeypatch, "fit_ols", seen, module=hierarchy)
+        self.spy(monkeypatch, "ols_sandwich", seen)
         rng = np.random.default_rng(0)
         cand = rng.standard_normal((200, 5))
         x1 = cand @ rng.standard_normal(5) + rng.standard_normal(200)
@@ -495,7 +504,7 @@ class TestOneBlasThread:
 
         # an error raised by the first fit
         seen.clear()
-        self.spy(monkeypatch, "fit_ols", seen, module=hierarchy,
+        self.spy(monkeypatch, "ols_sandwich", seen,
                  error=np.linalg.LinAlgError("singular"))
         with pytest.raises(np.linalg.LinAlgError):
             hierarchy.order_indices(x1, np.column_stack([u, u, v]))

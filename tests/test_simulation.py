@@ -5,7 +5,7 @@ import pytest
 
 from impactreg import SimConfig, generate_dataset, run_study, \
     slope_identity_check
-from impactreg import simulate
+from impactreg import backend, simulate
 from impactreg.errors import InvalidConfig
 from impactreg.simulate import TABLE_BETA, generate_arrays
 
@@ -127,6 +127,26 @@ class TestRunStudy:
         rep = run_study(cfg)
         assert rep.reject_final_hier > 0.9
         assert rep.mean_confounders_hier > 3.5
+
+    def test_serial_study_sets_the_blas_threads_once(self, monkeypatch):
+        # stand-ins for two loaded OpenBLAS libraries at four threads
+        calls = []
+
+        def setter(name):
+            count = [4]
+
+            def set_threads(threads):
+                calls.append((name, threads))
+                previous, count[0] = count[0], threads
+                return previous
+            return set_threads
+
+        setters = (setter("a"), setter("b"))
+        monkeypatch.setattr(backend, "_openblas_setters", lambda: setters)
+        run_study(SimConfig(m=5, k=4, n=120, replications=8, seed=16))
+        # one save at the start of the study and one restore at its end,
+        # not one pair per fit
+        assert calls == [("a", 1), ("b", 1), ("a", 4), ("b", 4)]
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_thread_count_below_one(self, threads):

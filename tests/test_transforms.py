@@ -286,6 +286,14 @@ class TestApplyTransforms:
         assert col.mean() == pytest.approx(0.0, abs=1e-12)
         assert col.std() == pytest.approx(1.0, rel=1e-12)
 
+    def test_standardize_constant_column_raises(self):
+        # its std is 1.4e-17, not 0
+        data = Dataset(("x1", "x2"), np.column_stack([
+            np.arange(97.0), np.full(97, 0.1)]))
+        spec = TransformSpec(({"op": "standardize", "column": "x2"},))
+        with pytest.raises(InvalidConfig, match="constant column 'x2'"):
+            apply_transforms(data, spec)
+
     def test_augment_quadratic(self):
         spec = TransformSpec((
             {"op": "augment_quadratic", "columns": ["x1", "x2"]},))

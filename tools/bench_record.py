@@ -10,6 +10,8 @@ It runs, one at a time and waiting for each to finish:
   for every workload listed in ``BENCHMARK.json``; it keeps the last line
   (the end-to-end metrics and the output checks) and, from the first line,
   ``nproc``, the BLAS builds and the BLAS thread variables;
+* the same with ``--seconds 15 --trace 1`` for every workload, keeping the
+  last line's per-layer metrics;
 * the tier-1 test command (``python -m pytest -q
   --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) and its
   wall time;
@@ -17,17 +19,21 @@ It runs, one at a time and waiting for each to finish:
   at ``--threads 1`` and ``--threads nproc``, in this process, as
   replications per second over 3 studies of 1,000 replications each.
 
-It also records ``git rev-parse HEAD`` and whether the checkout differs
-from it (``git status --porcelain`` lists anything), taken before the runs,
-so each file's rows name the tree they measured; both are ``null`` outside
-a git checkout.  Every BENCH file is recorded at these fixed run lengths,
-so their rows can be compared.  The file is written to the root of the
-checkout.  Nothing under ``perfbench/`` is changed.
+It also records ``git rev-parse HEAD``, whether the checkout differs
+from it (``git status --porcelain`` lists anything) and the sha256 of
+``git diff HEAD --binary`` (``null`` when that diff is empty), taken
+before the runs, so each file's rows name the tree they measured: HEAD
+plus that diff, which covers staged new files but not untracked ones.
+All three are ``null`` outside a git checkout.  Every BENCH file is
+recorded at these fixed run lengths, so their rows can be compared.  The
+file is written to the root of the checkout.  Nothing under
+``perfbench/`` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -42,28 +48,33 @@ SRC = ROOT / "src"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 STUDIES = (("table1", 5), ("table2", 10))
 SECONDS = 45  # length of each perfbench run
+TRACE_SECONDS = 15  # length of each traced perfbench run
 REPS = 1000  # replications per simulate study
 REPEATS = 3  # simulate studies per preset and thread count
 
 
 def git_tree():
-    """HEAD's commit and whether the checkout differs from it."""
+    """HEAD's commit, whether the checkout differs from it, and how."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
+                              check=True).stdout
 
     try:
-        return {"commit": git("rev-parse", "HEAD"),
-                "dirty": bool(git("status", "--porcelain"))}
+        diff = git("diff", "HEAD", "--binary")
+        return {"commit": git("rev-parse", "HEAD").decode().strip(),
+                "dirty": bool(git("status", "--porcelain").strip()),
+                "diff_sha256": hashlib.sha256(diff).hexdigest()
+                if diff else None}
     except (OSError, subprocess.CalledProcessError):
-        return {"commit": None, "dirty": None}
+        return {"commit": None, "dirty": None, "diff_sha256": None}
 
 
-def perfbench(workload, seed):
+def perfbench(workload, seed, seconds=SECONDS, trace=0):
     """(environment, result) from the first and last lines of run.py."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     return json.loads(lines[0])["environment"], json.loads(lines[-1])
@@ -116,10 +127,15 @@ def main(argv=None):
     tree = git_tree()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {}
+    per_layer = {}
     for workload in benchmark["workloads"]:
         env, result = perfbench(workload["name"], args.seed)
         end_to_end[workload["name"]] = {"seed": args.seed,
                                         "seconds": SECONDS, **result}
+    for workload in benchmark["workloads"]:
+        _, result = perfbench(workload["name"], args.seed, TRACE_SECONDS, 1)
+        per_layer[workload["name"]] = {"seed": args.seed,
+                                       "seconds": TRACE_SECONDS, **result}
     record = {
         "pr": args.pr,
         "git": tree,
@@ -127,6 +143,7 @@ def main(argv=None):
                         ("nproc", "numpy_blas", "scipy_blas", "thread_env",
                          "python", "numpy", "scipy", "start_method")},
         "end_to_end": end_to_end,
+        "per_layer": per_layer,
         "tier1": tier1(),
         "simulate": simulate_rates(env["nproc"], args.seed),
     }

@@ -7,6 +7,14 @@ and the sandwich is B (H'H) B' with H = diag(e) Q, never an explicit
 is the single place that builds the Huber-White matrix and applies the
 HC1 factor n/(n-p).
 
+It has three callers, each asking only for what it reads.
+``regression.fit_ols``, the public route, takes every output.  The steps
+of ``hierarchy.hierarchy_pvalues`` call the kernel directly, with their
+input checked once per hierarchy rather than once per step, and test the
+focus with the same rule as ``regression.coefficient_test``.  The
+residualizations of ``hierarchy.order_indices`` pass
+``covariances=False`` and read only the residuals.
+
 The kernel runs on one BLAS thread.  At the package's sizes OpenBLAS's
 extra threads gain nothing on the kernel's LAPACK calls and matmuls: they
 spin beside it and double its CPU time.  Parallelism is the job of
@@ -161,15 +169,20 @@ def _solve_upper(R, b):
     return x
 
 
-def ols_sandwich(X, y, hc1=False):
+def ols_sandwich(X, y, hc1=False, covariances=True):
     """Fit least squares and compute classical + sandwich covariance.
 
     Parameters
     ----------
     X : (n, p) design matrix (leading intercept column by convention).
-    y : (n,) response.  X and y must be finite; ``fit_ols`` checks that,
-        so the kernel does not.
+    y : (n,) response.  X and y must be finite; the callers
+        (``fit_ols`` and the two loops of ``hierarchy``) check that, so
+        the kernel does not.
     hc1 : scale the sandwich by n/(n-p).
+    covariances : when False, return right after the residuals, with
+        ``None`` for both covariances: the ordering's residualizations
+        read nothing else.  The coefficients, residuals, rank and pivots
+        are the same bits either way.
 
     Returns
     -------
@@ -203,6 +216,8 @@ def ols_sandwich(X, y, hc1=False):
         coef = np.empty(p)
         coef[piv] = w
         resid = y - X @ coef
+        if not covariances:
+            return coef, resid, None, None, rank, piv
 
         # B = P R^-1, so (X'X)^-1 = B B'
         B = np.empty((p, p))

@@ -83,12 +83,35 @@ def _load_dataset(args):
 
 # ---------------------------------------------------------------- analyze
 
+def _check_analyze_flags(args, adjust):
+    """Reject flag combinations that would be silently ignored."""
+    if args.hierarchy:
+        if args.adjust is not None:
+            raise InvalidConfig(
+                "--adjust cannot be combined with --hierarchy, which picks "
+                "its own adjustment sets")
+    else:
+        for flag, given in (("--prespecified-order",
+                             args.prespecified_order is not None),
+                            ("--include-bivariate", args.include_bivariate)):
+            if given:
+                raise InvalidConfig(f"{flag} requires --hierarchy")
+    for column in (args.response, args.focus):
+        if column in adjust:
+            raise InvalidConfig(
+                f"--adjust names {column!r}, the response or the focus")
+    if len(set(adjust)) != len(adjust):
+        raise InvalidConfig("--adjust names a column twice")
+
+
 def _cmd_analyze(args):
-    data, transform_log = _load_dataset(args)
     adjust = [c.strip() for c in args.adjust.split(",") if c.strip()] \
         if args.adjust else []
     order = [c.strip() for c in args.prespecified_order.split(",") if c.strip()] \
         if args.prespecified_order else None
+    # the flags are checked before the data file is read
+    _check_analyze_flags(args, adjust)
+    data, transform_log = _load_dataset(args)
 
     y = data.column(args.response)
     x = data.column(args.focus)

@@ -6,6 +6,13 @@ depends only on the covariate columns, never on the response.  Each step
 k tests the focus coefficient, with White's robust test, in the
 regression of y on the focus plus the first k ordered covariates;
 testing stops at the first non-rejection.
+
+Both loops call the least-squares kernel directly, on leading column
+slices of one preallocated design, and ask it only for what they read:
+the ordering's residualizations pass ``covariances=False``, and the steps
+check their input once per hierarchy instead of once per fit, then test
+the focus with ``regression``'s own rule.  The outputs are the bits of
+the ``fit_ols`` route.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import numpy as np
 
 from . import backend
 from .dataset import Dataset
-from .errors import DegenerateCovariate, InvalidConfig, NonFinite
-from .regression import coefficient_test, fit_ols
+from .errors import (DegenerateCovariate, DimensionMismatch, InvalidConfig,
+                     NonFinite, RankDeficient)
+from .regression import _norm, _white_test
 
 
 @dataclass(frozen=True)
@@ -85,26 +93,31 @@ def order_indices(x_focus, candidates):
         remaining = list(range(q))
         order: list[int] = []
         resid = x_focus - x_focus.mean()
-        while len(remaining) > 1:
-            v = resid - resid.mean()
-            with np.errstate(invalid="ignore", divide="ignore"):
+        # a degenerate residual direction divides 0 by 0, and the nan is
+        # handled below; the residualizations inside divide nothing, so
+        # no warning of theirs is hidden
+        with np.errstate(invalid="ignore", divide="ignore"):
+            while len(remaining) > 1:
+                v = resid - resid.mean()
                 corr = (np.abs(centred[:, remaining].T @ v)
                         / (np.sqrt(v @ v) * norms[remaining]))
-            # argmin with position-order tie-break; nan (degenerate
-            # residual direction) sorts last
-            corr = np.where(np.isnan(corr), np.inf, corr)
-            pick = remaining[int(np.argmin(corr))]
-            order.append(pick)
-            remaining.remove(pick)
-            p = len(order) + 1
-            if n <= p:
-                # no row is left to explain the focus with
-                break
-            design[:, p - 1] = candidates[:, pick]
-            resid = backend.ols_sandwich(design[:, :p], x_focus)[1]
-            if resid is None:
-                # rank < p: the focus is now fully explained
-                break
+                # argmin with position-order tie-break; nan (degenerate
+                # residual direction) sorts last
+                corr = np.where(np.isnan(corr), np.inf, corr)
+                pick = remaining[int(np.argmin(corr))]
+                order.append(pick)
+                remaining.remove(pick)
+                p = len(order) + 1
+                if n <= p:
+                    # no row is left to explain the focus with
+                    break
+                design[:, p - 1] = candidates[:, pick]
+                # only the residuals are read, so the kernel stops there
+                resid = backend.ols_sandwich(design[:, :p], x_focus,
+                                             covariances=False)[1]
+                if resid is None:
+                    # rank < p: the focus is now fully explained
+                    break
     # the rest follow in position order
     order.extend(remaining)
     return order
@@ -141,8 +154,16 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     Returns ``(pvalues, rejected_prefix)``; p-values past the first
     non-rejection are ``None`` (never evaluated).  ``column_names`` names
     the columns of the full design (intercept, focus, ordered...), for
-    the errors of the step fits; by default they are ``fit_ols``'s.
+    the errors of the step fits; by default they are ``fit_ols``'s
+    (``x0``, ``x1``, ...).
+
+    Each step's p-value, and the error a step raises, are those of
+    ``coefficient_test(fit_ols(y, design[:, :p], names, flavor), 1)`` on
+    the step's leading slice of the design.  Only the checks are hoisted:
+    y, the intercept and the focus are checked at the first step, and
+    each later step checks only its new column.
     """
+    y = np.ascontiguousarray(y, dtype=float)
     n = y.shape[0]
     q = ordered.shape[1]
     steps = q + 1 if include_bivariate else q
@@ -153,15 +174,35 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     design[:, 0] = 1.0
     design[:, 1] = x_focus
     design[:, 2:] = ordered
+    if y.ndim != 1:
+        raise DimensionMismatch("y must be 1-d")
+    if column_names is not None and len(column_names) != q + 2:
+        raise DimensionMismatch("column_names length does not match X")
     first = 2 if include_bivariate else 3
     # one cap for all the steps' fits (see backend)
     with backend._ONE_BLAS_THREAD:
         for step in range(steps):
             p = first + step
-            names = None if column_names is None else column_names[:p]
-            pvalue = coefficient_test(
-                fit_ols(y, design[:, :p], names, flavor), 1,
-                reference).p_value
+            if n <= p:
+                raise DimensionMismatch(f"need n > p, got n={n}, p={p}")
+            if step == 0:
+                if not (np.isfinite(y).all()
+                        and np.isfinite(design[:, :p]).all()):
+                    raise NonFinite("non-finite entries in regression input")
+                if flavor not in ("HC0", "HC1"):
+                    raise InvalidConfig(
+                        f"unknown sandwich flavor {flavor!r}")
+                response_norm = _norm(y)
+            elif not np.isfinite(design[:, p - 1]).all():
+                raise NonFinite("non-finite entries in regression input")
+            coef, resid, classical, sandwich, rank, piv = \
+                backend.ols_sandwich(design[:, :p], y, flavor == "HC1")
+            if rank < p:
+                j = int(piv[rank])
+                raise RankDeficient(f"x{j}" if column_names is None
+                                    else column_names[j])
+            pvalue = _white_test(coef, resid, classical, sandwich, n - p,
+                                 response_norm, 1, reference).p_value
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1

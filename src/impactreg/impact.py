@@ -2,7 +2,8 @@
 
 All second moments use 1/n normalization so that the cross-module
 identities (impact = |slope| * sd of the residualized covariate, etc.)
-hold exactly, not just asymptotically.
+hold exactly, not just asymptotically.  They are taken in two passes,
+centring first: the one-pass E[a^2] - E[a]^2 cancels for data far from 0.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ def cov_n(a, b):
     """Empirical covariance with 1/n normalization."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.mean(a * b) - np.mean(a) * np.mean(b))
+    return float(np.mean((a - a.mean()) * (b - b.mean())))
 
 
 def sd_n(a):
+    """Empirical standard deviation with 1/n normalization."""
     a = np.asarray(a, dtype=float)
-    return float(np.sqrt(max(np.mean(a * a) - np.mean(a) ** 2, 0.0)))
+    d = a - a.mean()
+    return float(np.sqrt(np.mean(d * d)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ def _check_pair(y, x):
 
 def _check_spread(x, what="covariate"):
     # a constant column is caught exactly first: its sd_n is rounding
-    # noise that need not fall below the relative bound
+    # noise (the mean of a column of 0.1 does not round exactly)
     s = sd_n(x)
     if np.ptp(x) == 0.0 or s < 1e-12 * abs(float(np.mean(x))) + 1e-300:
         raise DegenerateCovariate(f"{what} has (numerically) zero variance")

@@ -1,9 +1,11 @@
 """Least-squares fitting with classical and Huber-White sandwich covariance.
 
 The computational substrate for the impact estimators, the hierarchical
-testing procedure and the simulation harness.  Every coefficient test,
-hierarchy steps included, is ``coefficient_test(fit_ols(...))``; every
-solve goes through the column-pivoted QR kernel in
+testing procedure and the simulation harness.  Every coefficient test
+outside the hierarchy is ``coefficient_test(fit_ols(...))``; the
+hierarchy's steps call the kernel directly and apply the same rule
+through ``_white_test``, so the exact-fit and zero-SE decision exists
+once.  Every solve goes through the column-pivoted QR kernel in
 :mod:`impactreg.backend`, which forms the sandwich from its QR factors
 with no explicit (X'X)^-1 product.
 """
@@ -154,11 +156,23 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
     """
     if not 0 <= index < fit.p:
         raise DimensionMismatch(f"coefficient index {index} out of range")
-    estimate = float(fit.coefficients[index])
-    variance = float(fit.sandwich_cov[index, index])
+    return _white_test(fit.coefficients, fit.residuals, fit.classical_cov,
+                       fit.sandwich_cov, fit.dof, fit.response_norm, index,
+                       reference)
+
+
+def _white_test(coef, resid, classical, sandwich, dof, response_norm,
+                index, reference):
+    """``coefficient_test`` on the kernel's outputs, index unchecked.
+
+    The one home of the exact-fit and zero-SE rule; the hierarchy's steps
+    call it without building a ``FitResult``.
+    """
+    estimate = float(coef[index])
+    variance = float(sandwich[index, index])
     std_error = float(np.sqrt(max(variance, 0.0)))
-    bound = fit.dof * float(fit.classical_cov[index, index])
-    if (_norm(fit.residuals) <= _EXACT_FIT_RTOL * fit.response_norm
+    bound = dof * float(classical[index, index])
+    if (_norm(resid) <= _EXACT_FIT_RTOL * response_norm
             or variance <= _EXACT_FIT_RTOL ** 2 * bound):
         raise ZeroStdError(
             f"degenerate fit: robust standard error of coefficient {index} "
@@ -168,9 +182,9 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
         estimate=estimate,
         std_error=std_error,
         statistic=statistic,
-        p_value=two_sided_pvalue(statistic, fit.dof, reference),
+        p_value=two_sided_pvalue(statistic, dof, reference),
         reference=reference,
-        dof=fit.dof,
+        dof=dof,
     )
 
 

@@ -164,6 +164,31 @@ class TestAnalyze:
                     "--focus", "zzz"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--hierarchy", "--adjust", "x2"],
+         "--adjust cannot be combined with --hierarchy"),
+        (["--prespecified-order", "x4,x3,x2"],
+         "--prespecified-order requires --hierarchy"),
+        (["--include-bivariate"], "--include-bivariate requires --hierarchy"),
+        (["--adjust", "y"], "--adjust names 'y'"),
+        (["--adjust", "x2,x1"], "--adjust names 'x1'"),
+        (["--adjust", "x2,x2"], "--adjust names a column twice"),
+    ], ids=["adjust-with-hierarchy", "order-without-hierarchy",
+            "bivariate-without-hierarchy", "adjust-response", "adjust-focus",
+            "adjust-twice"])
+    def test_ignored_or_conflicting_flags_exit_2(self, data_csv, capsys,
+                                                 flags, message):
+        code = run(["analyze", "--data", str(data_csv), "--response", "y",
+                    "--focus", "x1", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_flags_checked_before_the_data_is_read(self, tmp_path, capsys):
+        code = run(["analyze", "--data", str(tmp_path / "missing.csv"),
+                    "--response", "y", "--focus", "x1", "--include-bivariate"])
+        assert code == 2
+        assert "requires --hierarchy" in capsys.readouterr().err
+
     def test_collinear_adjustment_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(50)

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impactreg import (fixed_sequence_test, order_covariates, run_hierarchy,
-                       fit_ols, coefficient_test)
+from impactreg import (backend, fixed_sequence_test, order_covariates,
+                       run_hierarchy, fit_ols, coefficient_test)
 from impactreg.dataset import Dataset
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
-                              RankDeficient)
+                              ImpactregError, RankDeficient)
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 
 
@@ -102,6 +104,93 @@ def test_ordering_matches_the_fit_ols_loop(problem):
     assert order_indices(x1, cand) == fit_ols_order(x1, cand)
 
 
+def fit_ols_steps(y, x_focus, ordered, alpha, include_bivariate, flavor,
+                  reference, column_names):
+    """The step loop with one ``coefficient_test(fit_ols(...))`` per step.
+
+    The reference for ``hierarchy_pvalues``: each step fits a fresh
+    leading slice of ``[1, x_focus, ordered]`` through ``fit_ols``, which
+    checks its whole input at every step.
+    """
+    n, q = ordered.shape
+    design = np.column_stack([np.ones(n), x_focus, ordered])
+    steps = q + 1 if include_bivariate else q
+    first = 2 if include_bivariate else 3
+    pvalues = [None] * steps
+    rejected = 0
+    for step in range(steps):
+        p = first + step
+        fit = fit_ols(y, design[:, :p], column_names[:p], flavor)
+        pvalue = coefficient_test(fit, 1, reference).p_value
+        pvalues[step] = pvalue
+        if pvalue <= alpha:
+            rejected += 1
+        else:
+            break
+    return pvalues, rejected
+
+
+def kernel_widths_and_outcome(steps_fn, *args):
+    """(p of each kernel call, result or (error type, message))."""
+    real = backend.ols_sandwich
+    widths = []
+
+    def counted(X, *rest, **kwargs):
+        widths.append(X.shape[1])
+        return real(X, *rest, **kwargs)
+
+    backend.ols_sandwich = counted
+    try:
+        pvalues, rejected = steps_fn(*args)
+        outcome = ([None if p is None else float(p).hex() for p in pvalues],
+                   rejected)
+    except ImpactregError as exc:
+        outcome = (type(exc), str(exc))
+    finally:
+        backend.ols_sandwich = real
+    return widths, outcome
+
+
+@given(ordering_problems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_step_pvalues_match_the_fit_ols_loop(problem, data):
+    # the same bits, or the same typed error raised at the same step
+    x1, ordered = problem
+    n, q = ordered.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    response = data.draw(st.sampled_from(["noisy", "noisy", "exact",
+                                          "constant"]))
+    if response == "noisy":
+        y = x1 + ordered @ rng.standard_normal(q) + rng.standard_normal(n)
+    elif response == "exact":
+        # exact once column j is adjusted for: ZeroStdError from there
+        j = data.draw(st.integers(0, q - 1))
+        y = 1.0 + 2.0 * x1 - 3.0 * ordered[:, j]
+    else:
+        y = np.full(n, 2.5)
+    x1, ordered = x1.copy(), ordered.copy()
+    bad = data.draw(st.sampled_from(["none"] * 4
+                                    + ["y", "focus", "candidate"]))
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    row = data.draw(st.integers(0, n - 1))
+    if bad == "y":
+        y[row] = value
+    elif bad == "focus":
+        x1[row] = value
+    elif bad == "candidate":
+        # NonFinite only once a step adjusts for this column
+        ordered[row, data.draw(st.integers(0, q - 1))] = value
+    # hierarchy_pvalues's positional order: alpha, include_bivariate,
+    # flavor, reference, column_names
+    args = (y, x1, ordered, data.draw(st.sampled_from([0.05, 0.5, 1.0])),
+            data.draw(st.booleans()),
+            data.draw(st.sampled_from(["HC0", "HC1"])),
+            data.draw(st.sampled_from(["student_t", "normal"])),
+            ("intercept", "focus", *(f"c{j}" for j in range(q))))
+    assert kernel_widths_and_outcome(hierarchy_pvalues, *args) == \
+        kernel_widths_and_outcome(fit_ols_steps, *args)
+
+
 class TestOrdering:
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
@@ -151,6 +240,26 @@ class TestOrdering:
         cand = np.random.default_rng(4).standard_normal((30, 2))
         with pytest.raises(DegenerateCovariate):
             order_indices(np.full(30, 1.0), cand)
+
+    def test_degenerate_residual_direction_warns_nothing(self, monkeypatch):
+        # a focus residual that is exactly constant has no direction: each
+        # later correlation is 0/0, sorts last, and the picks fall back to
+        # position order, without a RuntimeWarning
+        real = backend.ols_sandwich
+
+        def constant_residuals(X, y, *args, **kwargs):
+            coef, resid, *rest = real(X, y, *args, **kwargs)
+            return (coef, np.full_like(resid, 0.25), *rest)
+
+        rng = np.random.default_rng(6)
+        cand = rng.standard_normal((40, 5))
+        x1 = cand @ rng.standard_normal(5) + rng.standard_normal(40)
+        first = order_indices(x1, cand)[0]
+        monkeypatch.setattr(backend, "ols_sandwich", constant_residuals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            order = order_indices(x1, cand)
+        assert order == [first] + [j for j in range(5) if j != first]
 
     def test_collinear_picks_append_rest_in_position_order(self):
         # duplicate candidate columns: once both are picked the design is

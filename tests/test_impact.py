@@ -58,7 +58,8 @@ class TestLinearImpact:
             linear_mean_impact(np.array([1., 2., 3.]), np.full(3, 4.0))
 
     def test_constant_focus_with_inexact_mean_is_degenerate(self):
-        # sd_n of 97 copies of 0.1 is 2.3e-9, above the relative bound
+        # the mean of 97 copies of 0.1 does not round exactly; the
+        # constant column is caught whatever its sd_n rounds to
         y = np.random.default_rng(0).standard_normal(97)
         with pytest.raises(DegenerateCovariate):
             linear_mean_impact(y, np.full(97, 0.1))
@@ -158,3 +159,12 @@ class TestMoments:
         assert cov_n(a, b) == pytest.approx(np.cov(a, b, bias=True)[0, 1],
                                             rel=1e-10)
         assert sd_n(a) == pytest.approx(a.std(), rel=1e-12)
+
+    def test_moments_of_data_far_from_zero(self):
+        # the one-pass E[a^2] - E[a]^2 read sd_n 1.5% high here
+        rng = np.random.default_rng(5)
+        a = 1e4 + 1e-3 * rng.standard_normal(1000)
+        b = -3e3 + 1e-3 * rng.standard_normal(1000)
+        assert sd_n(a) == pytest.approx(np.std(a), rel=1e-12)
+        assert cov_n(a, b) == pytest.approx(np.cov(a, b, bias=True)[0, 1],
+                                            rel=1e-12)

@@ -402,6 +402,23 @@ class TestKernelDifferential:
         assert got[4] == p - 1
         assert_same_bits(got, scipy_kernel(X, y, False))
 
+    @pytest.mark.parametrize("n, p", [(60, 2), (500, 7), (12, 11),
+                                      (400, 150)])
+    @pytest.mark.parametrize("hc1", [False, True])
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_residuals_only_keep_the_bits_of_a_full_call(self, n, p, hc1,
+                                                         deficient):
+        for seed in range(3):
+            X, y = self.random_problem(seed, n, p)
+            if deficient:
+                X[:, -1] = 2.0 * X[:, -2]
+            coef, resid, classical, sandwich, rank, piv = \
+                backend.ols_sandwich(X, y, hc1)
+            got = backend.ols_sandwich(X, y, hc1, covariances=False)
+            assert got[2] is None and got[3] is None
+            assert (rank < p) == deficient
+            assert_same_bits(got, (coef, resid, None, None, rank, piv))
+
 
 def blas_counts():
     """The thread count of each OpenBLAS the kernel caps, left as it was."""

@@ -1,19 +1,24 @@
 """The least-squares kernel behind every fit in the package.
 
 One column-pivoted QR factorization X P = Q R per call; normal equations
-are never formed.  With B = P R^-1 the classical covariance is s^2 B B'
-and the sandwich is B (H'H) B' with H = diag(e) Q, never an explicit
-(X'X)^-1 product, so its error grows with cond(X), not cond(X)^2.  This
-is the single place that builds the Huber-White matrix and applies the
-HC1 factor n/(n-p).
+are never formed and neither is Q.  The fit is c = Q'y, R w = c[:p] and
+coef = P w; the residuals are e = Q [0; c[p:]].  Row j of B = P R^-1,
+the factor of (X'X)^-1 = B B', is z' with R'z = e_k, k being j's pivot
+position.  For the rows a caller asks for, stacked in Z, the classical
+covariance block is s^2 Z'Z and the sandwich block is A'A with
+A = diag(e) Q [Z; 0], never an explicit (X'X)^-1 product, so its error
+grows with cond(X), not cond(X)^2.  This is the single place that
+builds the Huber-White matrix and applies the HC1 factor n/(n-p).
 
-It has three callers, each asking only for what it reads.
-``regression.fit_ols``, the public route, takes every output.  The steps
-of ``hierarchy.hierarchy_pvalues`` call the kernel directly, with their
-input checked once per hierarchy rather than once per step, and test the
-focus with the same rule as ``regression.coefficient_test``.  The
-residualizations of ``hierarchy.order_indices`` pass
-``covariances=False`` and read only the residuals.
+Callers name the covariance rows they read (``rows``).
+``regression.fit_ols``, the public route, takes every row.  The
+one-coefficient route of ``regression`` (simulate's full-model
+comparator, ``slope_identity_check``, impact's slope and partial tests)
+and the steps of ``hierarchy.hierarchy_pvalues`` take the focus row
+alone; the steps call the kernel directly, with their input checked once
+per hierarchy rather than once per step.  The residualizations of
+``hierarchy.order_indices`` and ``regression.residualize`` take no row
+and read only the residuals.
 
 The kernel runs on one BLAS thread.  At the package's sizes OpenBLAS's
 extra threads gain nothing on the kernel's LAPACK calls and matmuls: they
@@ -31,17 +36,18 @@ calls left outside the cap are the normal-equation solves and dot
 products of ``oracle``, which no ``analyze`` or ``simulate`` path
 reaches.
 
-The factorization and the triangular solves call LAPACK (``dgeqp3``,
-``dorgqr``, ``dtrtrs``) through ``scipy.linalg.lapack`` directly: at 500
-rows the input checks, batching and workspace queries of
-``scipy.linalg.qr`` and ``solve_triangular`` cost about 35-40% of a fit.
-The calls mirror the layouts SciPy uses -- X copied once to column-major
-order, the optimal ``lwork`` (queried once per routine and shape, then
-reused), R passed to ``dtrtrs`` as its lower-triangular transpose with
-``trans=1`` -- so the outputs are bit for bit those of
-``qr(X, mode="economic", pivoting=True)`` followed by two
-``solve_triangular`` calls; ``tests/test_regression.py`` keeps that
-composition as the reference and checks it.
+The factorization and the solves call LAPACK (``dgeqp3``, ``dormqr``,
+``dtrtrs``) through ``scipy.linalg.lapack`` directly: at 500 rows the
+input checks, batching and workspace queries of ``scipy.linalg.qr`` and
+``solve_triangular`` cost about 35-40% of a fit.  Q is never formed:
+``dormqr`` applies its Householder reflectors to the few columns that
+need them (y, the residual's and the requested rows'), X is copied once
+to column-major order and not read again, and the factorization's
+optimal ``lwork`` is queried once per shape, then reused.
+``tests/test_regression.py`` keeps the explicit-Q SciPy
+composition, ``qr(X, mode="economic", pivoting=True)`` with two
+``solve_triangular`` calls, as the reference and checks the kernel
+against it within a cond(X)-scaled tolerance.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import functools
 import threading
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
 
 BACKEND_NAME = "python"
 
@@ -144,23 +150,30 @@ def _lapack(routine, *args, **kwargs):
     return outputs[:-1]
 
 
-@functools.cache
-def _identity(p):
-    """A read-only column-major p x p identity, copied by each fit."""
-    eye = np.eye(p, order="F")
-    eye.flags.writeable = False
-    return eye
+def _apply_q(trans, factor, tau, c):
+    """Q c (``trans="N"``) or Q'c (``trans="T"``), in c's place.
 
-
-def _solve_upper(R, b):
-    """R^-1 b for R in the upper triangle of a C-ordered array.
-
-    As ``solve_triangular`` does for C-ordered input, ``dtrtrs`` gets the
-    column-major R.T and solves (R')' x = b from its lower triangle; it
-    reads nothing else, so the Householder vectors below R's diagonal may
-    stay there.
+    Q is applied from its Householder reflectors, below R's diagonal in
+    ``factor``.  The minimal workspace, one double per column of c, keeps
+    ``dormqr`` on its unblocked path: no workspace query, and no block
+    reflector to build for the one or few columns it is given.
     """
-    x, info = dtrtrs(R.T, b, lower=1, trans=1, overwrite_b=1)
+    c, _, info = dormqr("L", trans, factor, tau, c, c.shape[1],
+                        overwrite_c=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dormqr")
+    return c
+
+
+def _solve(factor, b, trans):
+    """R^-1 b (``trans=0``) or R'^-1 b (``trans=1``), in b's place.
+
+    R is the upper triangle of the leading p rows of the n x p
+    column-major ``factor``; ``dtrtrs`` solves the leading p rows of b
+    and reads nothing else, so the Householder vectors below R's
+    diagonal stay where they are.
+    """
+    x, info = dtrtrs(factor, b, trans=trans, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -169,20 +182,23 @@ def _solve_upper(R, b):
     return x
 
 
-def ols_sandwich(X, y, hc1=False, covariances=True):
-    """Fit least squares and compute classical + sandwich covariance.
+def ols_sandwich(X, y, hc1=False, rows=None):
+    """Fit least squares and compute classical + sandwich covariance rows.
 
     Parameters
     ----------
-    X : (n, p) design matrix (leading intercept column by convention).
+    X : (n, p) design matrix (leading intercept column by convention),
+        in any memory layout.
     y : (n,) response.  X and y must be finite; the callers
-        (``fit_ols`` and the two loops of ``hierarchy``) check that, so
-        the kernel does not.
+        (``regression``'s fit helper and the two loops of ``hierarchy``)
+        check that, so the kernel does not.
     hc1 : scale the sandwich by n/(n-p).
-    covariances : when False, return right after the residuals, with
-        ``None`` for both covariances: the ordering's residualizations
-        read nothing else.  The coefficients, residuals, rank and pivots
-        are the same bits either way.
+    rows : the coefficients whose covariance rows are read, or ``None``
+        for all of them.  The covariances returned are the
+        ``len(rows)`` x ``len(rows)`` blocks of the full p x p matrices
+        at ``rows``, in that order; with ``rows=()`` both are ``None``.
+        The coefficients, residuals, rank and pivots are the same bits
+        for any ``rows``.
 
     Returns
     -------
@@ -194,12 +210,11 @@ def ols_sandwich(X, y, hc1=False, covariances=True):
     thread (see the module docstring).
     """
     with _ONE_BLAS_THREAD:
-        X = np.ascontiguousarray(X, dtype=float)
-        y = np.ascontiguousarray(y, dtype=float)
-        n, p = X.shape
-        # X P = Q R: dgeqp3 leaves R in the upper triangle of its copy of
-        # X and the Householder vectors below it
-        factor, piv, tau = _lapack(dgeqp3, np.array(X, order="F"))
+        # X P = Q R: dgeqp3 leaves R in the upper triangle of its
+        # column-major copy of X and the Householder vectors below it
+        factor, piv, tau = _lapack(dgeqp3,
+                                   np.array(X, dtype=float, order="F"))
+        n, p = factor.shape
         piv -= 1  # LAPACK numbers columns from 1
         diag = np.abs(factor.diagonal())
         if diag[0] == 0.0:
@@ -208,28 +223,31 @@ def ols_sandwich(X, y, hc1=False, covariances=True):
             rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
         if rank < p:
             return None, None, None, None, rank, piv
-        # dorgqr overwrites the factor with Q, so R is copied out first
-        R = np.ascontiguousarray(factor[:p])
-        Q, = _lapack(dorgqr, factor, tau)
 
-        w = _solve_upper(R, Q.T @ y)
+        # c = Q'y; R w = c[:p], solved in place; e = Q [0; c[p:]]
+        c = _apply_q("T", factor, tau, np.array(y, dtype=float)[:, None])
+        c = _solve(factor, c, 0)
         coef = np.empty(p)
-        coef[piv] = w
-        resid = y - X @ coef
-        if not covariances:
+        coef[piv] = c[:p, 0]
+        c[:p] = 0.0
+        resid = _apply_q("N", factor, tau, c)[:, 0]
+        if rows is None:
+            rows = range(p)
+        if not rows:
             return coef, resid, None, None, rank, piv
 
-        # B = P R^-1, so (X'X)^-1 = B B'
-        B = np.empty((p, p))
-        # dtrtrs solves in place, so it gets a copy of the identity
-        B[piv] = _solve_upper(R, np.array(_identity(p), order="F"))
+        # R'Z = E, E's columns the unit vectors at the rows' pivot
+        # positions; then A = Q [Z; 0], scaled row by row by e
+        A = np.zeros((n, len(rows)), order="F")
+        A[:p] = piv[:, None] == np.asarray(rows)
+        A = _solve(factor, A, 1)
+        Z = A[:p].copy()
+        A = _apply_q("N", factor, tau, A)
+        A *= resid[:, None]
 
         sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
-        classical = sigma2 * (B @ B.T)
-        # H = diag(e) Q, formed in Q's place: Q is not read again
-        Q *= resid[:, None]
-        sandwich = B @ (Q.T @ Q) @ B.T
+        classical = sigma2 * (Z.T @ Z)
+        sandwich = A.T @ A
         if hc1:
             sandwich *= n / (n - p)
-        return (coef, resid, 0.5 * (classical + classical.T),
-                0.5 * (sandwich + sandwich.T), rank, piv)
+        return coef, resid, classical, sandwich, rank, piv

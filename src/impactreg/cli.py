@@ -232,7 +232,9 @@ _DIST_RE = re.compile(r"^\s*(normal|exp)\s*[:(]\s*([^)]*?)\s*\)?\s*$")
 
 
 def _parse_dist(text):
-    from scipy import stats as sps  # costs about half of the package import
+    # imported here: scipy.stats costs about as much again as the whole
+    # package import, which no other subcommand should pay
+    from scipy import stats as sps
 
     m = _DIST_RE.match(text)
     if not m:

@@ -9,10 +9,12 @@ testing stops at the first non-rejection.
 
 Both loops call the least-squares kernel directly, on leading column
 slices of one preallocated design, and ask it only for what they read:
-the ordering's residualizations pass ``covariances=False``, and the steps
-check their input once per hierarchy instead of once per fit, then test
-the focus with ``regression``'s own rule.  The outputs are the bits of
-the ``fit_ols`` route.
+the ordering's residualizations ask for no covariance row (``rows=()``),
+and the steps ask for the focus row alone (``rows=(1,)``), check their
+input once per hierarchy instead of once per fit, then test the focus
+with ``regression``'s own rule.  The ordering keeps the bits of the
+``fit_ols`` route, the step p-values those of ``regression``'s
+one-coefficient route.
 """
 
 from __future__ import annotations
@@ -57,7 +59,14 @@ def order_indices(x_focus, candidates):
     are broken by the smallest column position.  If a residualization
     collapses, the remaining candidates are appended in position order.
     """
+    x_focus = np.asarray(x_focus, dtype=float)
+    candidates = np.asarray(candidates, dtype=float)
+    if x_focus.ndim != 1 or candidates.ndim != 2:
+        raise DimensionMismatch("x_focus must be 1-d and candidates 2-d")
     n, q = candidates.shape
+    if x_focus.shape[0] != n:
+        raise DimensionMismatch(
+            f"candidates have {n} rows but x_focus has {x_focus.shape[0]}")
     if q == 0:
         return []
     # constancy is tested exactly: the std of a constant column whose
@@ -114,7 +123,7 @@ def order_indices(x_focus, candidates):
                 design[:, p - 1] = candidates[:, pick]
                 # only the residuals are read, so the kernel stops there
                 resid = backend.ols_sandwich(design[:, :p], x_focus,
-                                             covariances=False)[1]
+                                             rows=())[1]
                 if resid is None:
                     # rank < p: the focus is now fully explained
                     break
@@ -158,14 +167,26 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     (``x0``, ``x1``, ...).
 
     Each step's p-value, and the error a step raises, are those of
-    ``coefficient_test(fit_ols(y, design[:, :p], names, flavor), 1)`` on
-    the step's leading slice of the design.  Only the checks are hoisted:
-    y, the intercept and the focus are checked at the first step, and
-    each later step checks only its new column.
+    ``regression``'s one-coefficient route, ``_white_test(
+    *_coefficient_row(y, design[:, :p], 1, names, flavor), 1, reference)``,
+    on the step's leading slice of the design: the same bits, and within
+    rounding of ``coefficient_test(fit_ols(...), 1)``, which forms every
+    covariance row.  Only the checks are hoisted: y, the intercept and
+    the focus are checked at the first step, and each later step checks
+    only its new column.
     """
-    y = np.ascontiguousarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_focus = np.asarray(x_focus, dtype=float)
+    ordered = np.asarray(ordered, dtype=float)
+    if y.ndim != 1 or x_focus.ndim != 1 or ordered.ndim != 2:
+        raise DimensionMismatch(
+            "y and x_focus must be 1-d and the ordered candidates 2-d")
     n = y.shape[0]
     q = ordered.shape[1]
+    if x_focus.shape[0] != n or ordered.shape[0] != n:
+        raise DimensionMismatch(
+            f"y has {n} rows but x_focus has {x_focus.shape[0]} and the "
+            f"ordered candidates {ordered.shape[0]}")
     steps = q + 1 if include_bivariate else q
     pvalues: list = [None] * steps
     rejected = 0
@@ -174,8 +195,6 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     design[:, 0] = 1.0
     design[:, 1] = x_focus
     design[:, 2:] = ordered
-    if y.ndim != 1:
-        raise DimensionMismatch("y must be 1-d")
     if column_names is not None and len(column_names) != q + 2:
         raise DimensionMismatch("column_names length does not match X")
     first = 2 if include_bivariate else 3
@@ -196,12 +215,14 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
             elif not np.isfinite(design[:, p - 1]).all():
                 raise NonFinite("non-finite entries in regression input")
             coef, resid, classical, sandwich, rank, piv = \
-                backend.ols_sandwich(design[:, :p], y, flavor == "HC1")
+                backend.ols_sandwich(design[:, :p], y, flavor == "HC1",
+                                     (1,))
             if rank < p:
                 j = int(piv[rank])
                 raise RankDeficient(f"x{j}" if column_names is None
                                     else column_names[j])
-            pvalue = _white_test(coef, resid, classical, sandwich, n - p,
+            pvalue = _white_test(float(coef[1]), float(sandwich[0, 0]),
+                                 float(classical[0, 0]), n - p, _norm(resid),
                                  response_norm, 1, reference).p_value
             pvalues[step] = pvalue
             if pvalue <= alpha:

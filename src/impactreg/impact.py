@@ -15,7 +15,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (DegenerateCovariate, DimensionMismatch,
                      InvariantViolation, ZeroStdError)
-from .regression import CoefficientTest, fit_ols, coefficient_test, residualize
+from .regression import (CoefficientTest, _coefficient_row, _white_test,
+                         residualize)
 
 
 def cov_n(a, b):
@@ -85,9 +86,9 @@ def _check_spread(x, what="covariate"):
 
 def _slope_test(y, x, flavor="HC0", reference="student_t"):
     X = np.column_stack([np.ones(len(x)), x])
-    fit = fit_ols(y, X, column_names=("intercept", "x"), flavor=flavor)
+    row = _coefficient_row(y, X, 1, ("intercept", "x"), flavor)
     try:
-        return coefficient_test(fit, 1, reference)
+        return _white_test(*row, 1, reference)
     except ZeroStdError:
         # exact fit: the slope test is degenerate, report the value alone
         return None
@@ -126,13 +127,12 @@ def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
     sx = _check_spread(x_res, f"residualized {focus!r}")
     X = np.column_stack([np.ones(data.n), data.column(focus),
                          data.columns(adjust)])
-    fit = fit_ols(y, X, column_names=("intercept", focus, *adjust),
-                  flavor=flavor)
+    row = _coefficient_row(y, X, 1, ("intercept", focus, *adjust), flavor)
     try:
-        test = coefficient_test(fit, 1, reference)
+        test = _white_test(*row, 1, reference)
     except ZeroStdError:
         test = None
-    return y, x_res, sx, float(fit.coefficients[1]), test
+    return y, x_res, sx, row[0], test
 
 
 def partial_linear_mean_impact(y_col, focus, adjust, data: Dataset,

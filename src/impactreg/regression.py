@@ -1,13 +1,17 @@
 """Least-squares fitting with classical and Huber-White sandwich covariance.
 
 The computational substrate for the impact estimators, the hierarchical
-testing procedure and the simulation harness.  Every coefficient test
-outside the hierarchy is ``coefficient_test(fit_ols(...))``; the
-hierarchy's steps call the kernel directly and apply the same rule
-through ``_white_test``, so the exact-fit and zero-SE decision exists
-once.  Every solve goes through the column-pivoted QR kernel in
-:mod:`impactreg.backend`, which forms the sandwich from its QR factors
-with no explicit (X'X)^-1 product.
+testing procedure and the simulation harness.  Every fit of this module
+goes through one validated helper, ``_fit``, which checks the input and
+calls the column-pivoted QR kernel of :mod:`impactreg.backend` once,
+asking it only for the covariance rows its caller reads: ``fit_ols``
+takes them all, ``residualize`` none, and the one-coefficient route
+``_coefficient_row`` (the full-model comparator of ``simulate``,
+``slope_identity_check`` and impact's tests) only the tested
+coefficient's.  The hierarchy's steps call the kernel directly, with
+their input checked once per hierarchy.  Every test, on any route, is
+decided by ``_white_test``, so the exact-fit and zero-SE rule exists
+once.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ def two_sided_pvalue(statistic, dof, reference="student_t"):
 
 
 def _validate(y, X):
-    y = np.ascontiguousarray(y, dtype=float)
-    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
     if y.ndim != 1 or X.ndim != 2:
         raise DimensionMismatch("y must be 1-d and X 2-d")
     if X.shape[0] != y.shape[0]:
@@ -109,14 +113,17 @@ def _default_names(p):
     return tuple(f"x{j}" for j in range(p))
 
 
-def fit_ols(y, X, column_names=None, flavor="HC0"):
-    """Fit y on the design X (leading intercept column by convention).
+def _fit(y, X, column_names, flavor, rows):
+    """The validated kernel call behind every fit of this module.
 
-    Raises ``RankDeficient`` naming the dependent column when X is not of
-    full column rank at relative pivot tolerance ``backend.RANK_TOL``.
+    Checks y, X, the flavor and the names, calls ``backend.ols_sandwich``
+    once with ``rows`` (the covariance rows read), and raises
+    ``RankDeficient`` naming the dependent column.  X is passed on in its
+    own layout: the kernel makes the one column-major copy.  Returns
+    ``(y, column_names, coef, resid, classical, sandwich)``.
     """
     y, X = _validate(y, X)
-    n, p = X.shape
+    p = X.shape[1]
     if flavor not in ("HC0", "HC1"):
         raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     if column_names is None:
@@ -126,16 +133,27 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
         if len(column_names) != p:
             raise DimensionMismatch("column_names length does not match X")
     coef, resid, classical, sandwich, rank, piv = backend.ols_sandwich(
-        X, y, flavor == "HC1")
+        X, y, flavor == "HC1", rows)
     if rank < p:
         raise RankDeficient(column_names[int(piv[rank])])
+    return y, column_names, coef, resid, classical, sandwich
+
+
+def fit_ols(y, X, column_names=None, flavor="HC0"):
+    """Fit y on the design X (leading intercept column by convention).
+
+    Raises ``RankDeficient`` naming the dependent column when X is not of
+    full column rank at relative pivot tolerance ``backend.RANK_TOL``.
+    """
+    y, column_names, coef, resid, classical, sandwich = _fit(
+        y, X, column_names, flavor, None)
     return FitResult(
         column_names=column_names,
         coefficients=coef,
         residuals=resid,
         classical_cov=classical,
         sandwich_cov=sandwich,
-        dof=n - p,
+        dof=resid.shape[0] - coef.shape[0],
         flavor=flavor,
         response_norm=_norm(y),
     )
@@ -156,24 +174,39 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
     """
     if not 0 <= index < fit.p:
         raise DimensionMismatch(f"coefficient index {index} out of range")
-    return _white_test(fit.coefficients, fit.residuals, fit.classical_cov,
-                       fit.sandwich_cov, fit.dof, fit.response_norm, index,
+    return _white_test(float(fit.coefficients[index]),
+                       float(fit.sandwich_cov[index, index]),
+                       float(fit.classical_cov[index, index]), fit.dof,
+                       _norm(fit.residuals), fit.response_norm, index,
                        reference)
 
 
-def _white_test(coef, resid, classical, sandwich, dof, response_norm,
-                index, reference):
-    """``coefficient_test`` on the kernel's outputs, index unchecked.
+def _coefficient_row(y, X, index, column_names=None, flavor="HC0"):
+    """What the test of one coefficient reads from a validated fit.
 
-    The one home of the exact-fit and zero-SE rule; the hierarchy's steps
-    call it without building a ``FitResult``.
+    The fit is ``fit_ols(y, X, column_names, flavor)``'s, with the same
+    checks and errors, but the kernel forms only coefficient ``index``'s
+    covariance row.  Returns ``_white_test``'s leading arguments:
+    ``(estimate, variance, classical variance, dof, ||e||, ||y||)``.
     """
-    estimate = float(coef[index])
-    variance = float(sandwich[index, index])
+    y, _, coef, resid, classical, sandwich = _fit(y, X, column_names,
+                                                  flavor, (index,))
+    return (float(coef[index]), float(sandwich[0, 0]),
+            float(classical[0, 0]), resid.shape[0] - coef.shape[0],
+            _norm(resid), _norm(y))
+
+
+def _white_test(estimate, variance, classical_variance, dof, resid_norm,
+                response_norm, index, reference):
+    """White's test of coefficient ``index`` from the scalars it reads.
+
+    The one home of the exact-fit and zero-SE rule (see
+    ``coefficient_test``); every route, the hierarchy's steps included,
+    decides its tests here.
+    """
     std_error = float(np.sqrt(max(variance, 0.0)))
-    bound = dof * float(classical[index, index])
-    if (_norm(resid) <= _EXACT_FIT_RTOL * response_norm
-            or variance <= _EXACT_FIT_RTOL ** 2 * bound):
+    if (resid_norm <= _EXACT_FIT_RTOL * response_norm
+            or variance <= _EXACT_FIT_RTOL ** 2 * (dof * classical_variance)):
         raise ZeroStdError(
             f"degenerate fit: robust standard error of coefficient {index} "
             f"is {std_error:.3e}")
@@ -198,5 +231,6 @@ def residualize(target_column: str, on_columns, data: Dataset):
     if not on_columns:
         return target - target.mean()
     X = np.column_stack([np.ones(data.n), data.columns(on_columns)])
-    fit = fit_ols(target, X, column_names=("intercept", *on_columns))
-    return fit.residuals
+    _, _, _, resid, _, _ = _fit(target, X, ("intercept", *on_columns),
+                                "HC0", ())
+    return resid

@@ -25,10 +25,22 @@ from . import backend
 from .dataset import Dataset
 from .errors import ImpactregError, InvalidConfig
 from .hierarchy import hierarchy_pvalues, order_indices
-from .regression import fit_ols, coefficient_test
+from .regression import _coefficient_row, _white_test
 
 # beta per m used in the tables (R^2_x about 0.8 at k = m - 1)
 TABLE_BETA = {5: 1.00, 8: 0.75, 10: 0.65, 20: 0.45, 50: 0.30}
+
+
+def _check_seed(seed):
+    """Reject a seed that is not an int in [0, 2^64).
+
+    The seed fills the upper 64 bits of each replication's Philox key, so
+    outside that range two seeds would share a stream (-1 and 2^64 - 1,
+    5 and 2^64 + 5) while their reports recorded different seeds.
+    """
+    if not (isinstance(seed, int) and not isinstance(seed, bool)
+            and 0 <= seed < 2 ** 64):
+        raise InvalidConfig(f"seed must be an int in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,7 @@ class SimConfig:
     reference: str = "student_t"
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.m < 2:
             raise InvalidConfig("need m >= 2")
         if not 1 <= self.k <= self.m - 1:
@@ -102,7 +115,7 @@ class SimReport:
 
 def _rng(seed, replication_index):
     """Independent Philox substream keyed by (seed, replication index)."""
-    key = (int(seed) & (2 ** 64 - 1)) << 64 | (int(replication_index) & (2 ** 64 - 1))
+    key = seed << 64 | (int(replication_index) & (2 ** 64 - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -166,8 +179,9 @@ def _replicate(config: SimConfig, replication_index: int):
         false_reject = rejected >= first_true_step
 
         design = np.column_stack([np.ones(config.n), X])
-        fit = fit_ols(y, design, flavor=config.flavor)
-        test = coefficient_test(fit, 1, config.reference)
+        test = _white_test(*_coefficient_row(y, design, 1,
+                                             flavor=config.flavor),
+                           1, config.reference)
         reject_full = test.p_value <= config.alpha
         return false_reject, confounders, final_reject, reject_full, False
     except (ImpactregError, np.linalg.LinAlgError):
@@ -245,6 +259,7 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     X_2 and everything normal.  Returns the fitted slope, the closed-form
     target and the robust standard error of the fit.
     """
+    _check_seed(seed)
     params = dict(params or {})
     th1 = float(params.get("theta1", 1.0))
     th2 = float(params.get("theta2", 1.0))
@@ -273,7 +288,6 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
         raise InvalidConfig(f"unknown model {model!r}")
 
     X = np.column_stack([np.ones(n), x1, x2])
-    fit = fit_ols(y, X)
-    test = coefficient_test(fit, 1)
+    test = _white_test(*_coefficient_row(y, X, 1), 1, "student_t")
     return SlopeIdentity(estimate=test.estimate, target=target,
                          std_error=test.std_error)

@@ -273,6 +273,12 @@ class TestSimulate:
     def test_bad_config_exit_2(self, capsys):
         assert run(["simulate", "--m", "1", "--reps", "5"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 64 + 5)])
+    def test_seed_outside_64_bits_exit_2(self, seed, capsys):
+        assert run(["simulate", "--m", "5", "--k", "4", "--n", "100",
+                    "--reps", "2", "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_non_integer_thread_env_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("IMPACTREG_THREADS", "two")
         assert run(["simulate", "--m", "5", "--k", "4", "--n", "100",
@@ -399,9 +405,11 @@ class TestOracleCheck:
         assert run(["oracle-check", "--joint", str(path)]) == 3
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = ("import sys, impactreg.cli; "
-            "print('scipy.stats' in sys.modules)")
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # scipy.stats, which imports scipy.optimize, costs about as much again
+    # as the package import; only the figure subcommand imports it, late
+    code = ("import sys, impactreg.cli; print(sorted("
+            "{'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

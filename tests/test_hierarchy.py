@@ -11,6 +11,7 @@ from impactreg.dataset import Dataset
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
                               ImpactregError, RankDeficient)
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
+from impactreg.regression import _coefficient_row, _white_test
 
 
 def brute_force_order(x_focus, candidates):
@@ -104,30 +105,41 @@ def test_ordering_matches_the_fit_ols_loop(problem):
     assert order_indices(x1, cand) == fit_ols_order(x1, cand)
 
 
-def fit_ols_steps(y, x_focus, ordered, alpha, include_bivariate, flavor,
-                  reference, column_names):
-    """The step loop with one ``coefficient_test(fit_ols(...))`` per step.
+def step_loop(test):
+    """A step loop that tests each leading slice of the design afresh.
 
-    The reference for ``hierarchy_pvalues``: each step fits a fresh
-    leading slice of ``[1, x_focus, ordered]`` through ``fit_ols``, which
-    checks its whole input at every step.
+    ``test(y, X, names, flavor, reference)`` returns a step's p-value;
+    the loop checks nothing itself, so every check is the test's, made
+    at every step.
     """
-    n, q = ordered.shape
-    design = np.column_stack([np.ones(n), x_focus, ordered])
-    steps = q + 1 if include_bivariate else q
-    first = 2 if include_bivariate else 3
-    pvalues = [None] * steps
-    rejected = 0
-    for step in range(steps):
-        p = first + step
-        fit = fit_ols(y, design[:, :p], column_names[:p], flavor)
-        pvalue = coefficient_test(fit, 1, reference).p_value
-        pvalues[step] = pvalue
-        if pvalue <= alpha:
-            rejected += 1
-        else:
-            break
-    return pvalues, rejected
+    def loop(y, x_focus, ordered, alpha, include_bivariate, flavor,
+             reference, column_names):
+        n, q = ordered.shape
+        design = np.column_stack([np.ones(n), x_focus, ordered])
+        steps = q + 1 if include_bivariate else q
+        first = 2 if include_bivariate else 3
+        pvalues = [None] * steps
+        rejected = 0
+        for step in range(steps):
+            p = first + step
+            pvalue = test(y, design[:, :p], column_names[:p], flavor,
+                          reference)
+            pvalues[step] = pvalue
+            if pvalue <= alpha:
+                rejected += 1
+            else:
+                break
+        return pvalues, rejected
+    return loop
+
+
+# the validated one-coefficient route, which forms only the focus row
+row_steps = step_loop(lambda y, X, names, flavor, reference: _white_test(
+    *_coefficient_row(y, X, 1, names, flavor), 1, reference).p_value)
+# the public route, which forms every covariance row
+fit_ols_steps = step_loop(lambda y, X, names, flavor, reference:
+                          coefficient_test(fit_ols(y, X, names, flavor), 1,
+                                           reference).p_value)
 
 
 def kernel_widths_and_outcome(steps_fn, *args):
@@ -187,8 +199,32 @@ def test_step_pvalues_match_the_fit_ols_loop(problem, data):
             data.draw(st.sampled_from(["HC0", "HC1"])),
             data.draw(st.sampled_from(["student_t", "normal"])),
             ("intercept", "focus", *(f"c{j}" for j in range(q))))
-    assert kernel_widths_and_outcome(hierarchy_pvalues, *args) == \
-        kernel_widths_and_outcome(fit_ols_steps, *args)
+    widths, outcome = kernel_widths_and_outcome(hierarchy_pvalues, *args)
+    # the same bits as the one-coefficient route
+    assert (widths, outcome) == kernel_widths_and_outcome(row_steps, *args)
+    # the same fits, decisions and errors as the fit_ols route, with
+    # p-values within rounding: it sums the focus row in another order
+    want_widths, want = kernel_widths_and_outcome(fit_ols_steps, *args)
+    assert widths == want_widths
+    if isinstance(want[0], type):
+        assert outcome == want
+        return
+    (pvalues, rejected), (want_pvalues, want_rejected) = outcome, want
+    assert rejected == want_rejected
+    assert [p is None for p in pvalues] == [p is None for p in want_pvalues]
+    # 1e-12 relative on a well-conditioned step; the routes' variances
+    # differ by rounding amplified by up to cond(X) (near-collinear
+    # candidates), and a relative change d in the variance moves p by
+    # about (1 + t^2) d / 2 relative
+    design = np.column_stack([np.ones(n), x1, ordered])
+    for width, p, w in zip(widths, pvalues, want_pvalues):
+        p, w = float.fromhex(p), float.fromhex(w)
+        X = design[:, :width]
+        t = coefficient_test(fit_ols(y, X, flavor=args[5]), 1,
+                             args[6]).statistic
+        tol = max(1e-12, 10 * (1 + t * t) * np.linalg.cond(X)
+                  * np.finfo(float).eps)
+        assert abs(p - w) <= tol * w + 1e-300
 
 
 class TestOrdering:
@@ -400,6 +436,34 @@ class TestRunHierarchy:
                 assert p2 is None
             else:
                 assert p2 == pytest.approx(p1, abs=1e-9)
+
+
+class TestRowCounts:
+    """Inputs whose row counts disagree raise before any design is built."""
+
+    @staticmethod
+    def problem(n=30, q=3):
+        rng = np.random.default_rng(10)
+        cand = rng.standard_normal((n, q))
+        x1 = cand @ rng.standard_normal(q) + rng.standard_normal(n)
+        return x1 + rng.standard_normal(n), x1, cand
+
+    def test_ordering(self):
+        _, x1, cand = self.problem()
+        for args in ((x1[:-1], cand), (x1, cand[:-1]), (x1[:, None], cand),
+                     (x1, cand[:, 0])):
+            with pytest.raises(DimensionMismatch):
+                order_indices(*args)
+
+    def test_steps(self):
+        y, x1, cand = self.problem()
+        for args in ((y[:-1], x1, cand), (y, x1[:-1], cand),
+                     (y, x1, cand[:-1]), (y[:, None], x1, cand),
+                     (y, x1, cand[:, 0])):
+            for bivariate in (False, True):
+                with pytest.raises(DimensionMismatch):
+                    hierarchy_pvalues(*args, alpha=0.05,
+                                      include_bivariate=bivariate)
 
 
 class TestHierarchyPvalues:

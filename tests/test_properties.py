@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from impactreg import (Dataset, SimConfig, coefficient_test,
+from impactreg import (Dataset, SimConfig, backend, coefficient_test,
                        fixed_sequence_test, fit_ols, linear_mean_impact,
                        mod_r2, partial_linear_mean_impact,
                        partial_linear_mean_slope, read_csv, residualize,
@@ -19,6 +19,7 @@ from impactreg import (Dataset, SimConfig, coefficient_test,
 from impactreg.errors import RankDeficient, ZeroStdError
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.impact import sd_n
+from impactreg.regression import _coefficient_row, _white_test
 from impactreg.simulate import generate_arrays
 from impactreg.transforms import _read_csv_stream
 
@@ -210,14 +211,68 @@ def test_units_do_not_change_the_test(replication, k, flavor):
     y, X = replication
     design = np.column_stack([np.ones(len(y)), X])
     want = coefficient_test(fit_ols(y, design, flavor=flavor), 1).p_value
+    want_row = _white_test(*_coefficient_row(y, design, 1, flavor=flavor), 1,
+                           "student_t").p_value
     exact = design @ np.linspace(-1.0, 2.0, design.shape[1])
     scale = 2.0 ** k
     for y_k, exact_k, design_k in ((y * scale, exact * scale, design),
                                    (y, exact, design * scale)):
         got = coefficient_test(fit_ols(y_k, design_k, flavor=flavor), 1)
         assert got.p_value.hex() == want.hex()
+        got = _white_test(*_coefficient_row(y_k, design_k, 1, flavor=flavor),
+                          1, "student_t")
+        assert got.p_value.hex() == want_row.hex()
         with pytest.raises(ZeroStdError):
             coefficient_test(fit_ols(exact_k, design_k, flavor=flavor), 1)
+
+
+@st.composite
+def kernel_designs(draw):
+    """(X, y) with an intercept, of one of four kinds of design."""
+    kind = draw(st.sampled_from(["random", "near_collinear", "few_rows",
+                                 "heteroskedastic"]))
+    p = draw(st.integers(min_value=2, max_value=12))
+    if kind == "few_rows":
+        n = draw(st.integers(min_value=p + 1, max_value=p + 3))
+    else:
+        n = draw(st.integers(min_value=p + 3, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    noise = rng.standard_normal(n)
+    if kind == "near_collinear" and p > 2:
+        i, j = rng.choice(np.arange(1, p), size=2, replace=False)
+        X[:, j] = X[:, i] + 1e-6 * rng.standard_normal(n)
+    elif kind == "heteroskedastic":
+        X[:, 1:] = rng.standard_t(3, size=(n, p - 1))
+        noise *= np.exp(np.tanh(X[:, 1]) * 2.0)
+    return X, X @ rng.standard_normal(p) + noise
+
+
+@given(kernel_designs(), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_covariance_rows_are_blocks_of_the_full_matrices(problem, hc1, data):
+    # every requested block is the full matrices' block at those rows, to
+    # 1e-13 of sqrt(S_ii S_jj), or to rounding amplified by cond(X) where
+    # that is larger: the rows' triangular solve and reflector products
+    # are summed in other orders than the full ones.  The fit keeps its
+    # bits whatever the rows.
+    X, y = problem
+    p = X.shape[1]
+    full = backend.ols_sandwich(X, y, hc1)
+    assert full[4] == p
+    tol = max(1e-13, 50 * np.linalg.cond(X) * np.finfo(float).eps)
+    subset = data.draw(st.permutations(range(p)))
+    for rows in [(j,) for j in range(p)] + [
+            tuple(subset[:data.draw(st.integers(2, p))])]:
+        got = backend.ols_sandwich(X, y, hc1, rows)
+        for g, w in zip(got[:2], full[:2]):
+            assert g.tobytes() == w.tobytes()
+        assert got[4] == full[4] and np.array_equal(got[5], full[5])
+        for g, w in zip(got[2:4], full[2:4]):
+            block = w[np.ix_(rows, rows)]
+            scale = np.sqrt(np.outer(np.diag(block), np.diag(block)))
+            assert g.shape == block.shape
+            assert (np.abs(g - block) <= tol * scale).all()
 
 
 @given(study_replications(), st.floats(min_value=-1e3, max_value=1e3),

@@ -218,12 +218,14 @@ class TestInvariants:
 def scipy_kernel(X, y, hc1):
     """The kernel's algebra on SciPy's ``qr`` and ``solve_triangular``.
 
-    ``backend.ols_sandwich`` calls the LAPACK routines behind these two
-    wrappers with the same layouts and workspace sizes, so it must return
-    the same bits.  Both run on one BLAS thread: from 128 columns on,
-    LAPACK's blocked updates split work between threads.  The bits follow
-    the internals of the installed SciPy's wrappers (workspace queries,
-    the transposed triangular solve), so CI pins the SciPy version.
+    The explicit-Q composition: Q formed, R inverted against the
+    identity, and both p x p covariances built in full.
+    ``backend.ols_sandwich`` applies the same factorization's reflectors
+    instead of forming Q, so it agrees within rounding, not bit for bit
+    (see ``assert_close_to_scipy``); the rank and pivots come from the
+    same ``dgeqp3`` call and keep their bits.  Both run on one BLAS
+    thread: from 128 columns on, LAPACK's blocked updates split work
+    between threads.
     """
     with backend._ONE_BLAS_THREAD:
         return _scipy_kernel(X, y, hc1)
@@ -265,6 +267,29 @@ def assert_same_bits(got, want):
         if w.dtype == np.float64:
             g, w = g.view(np.int64), w.view(np.int64)
         np.testing.assert_array_equal(g, w)
+
+
+def assert_close_to_scipy(got, want, X):
+    """``got`` agrees with the SciPy composition normwise, to cond(X) eps.
+
+    Rank and pivots are equal; the coefficients and both covariances
+    are within 100 cond(X) eps of the reference in relative norm, and the
+    residuals within that share of ||y||: both routes are backward
+    stable, so they differ by rounding amplified at most by cond(X).
+    """
+    assert got[4] == want[4]
+    assert_same_bits(got[5:], want[5:])
+    if want[0] is None:
+        assert all(g is None for g in got[:4])
+        return
+    tol = 100 * np.linalg.cond(X) * np.finfo(float).eps
+    coef, resid, classical, sandwich = got[:4]
+    y = want[1] + X @ want[0]
+    assert np.linalg.norm(resid - want[1]) <= tol * np.linalg.norm(y)
+    for g, w in ((coef, want[0]), (classical, want[2]),
+                 (sandwich, want[3])):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
 
 
 class TestKernelDifferential:
@@ -359,40 +384,40 @@ class TestKernelDifferential:
         fitted = kept @ np.linalg.lstsq(kept, dependent, rcond=None)[0]
         np.testing.assert_allclose(fitted, dependent, atol=1e-10)
 
-    # bit-for-bit against the SciPy composition; from 128 columns on,
-    # dgeqp3 and dorgqr switch to blocked code whose blocks follow lwork
+    # against the explicit-Q SciPy composition; from 128 columns on,
+    # dgeqp3 switches to blocked code whose blocks follow lwork
     @pytest.mark.parametrize("n, p", [(60, 2), (200, 5), (500, 11),
                                       (200, 33), (300, 50), (400, 150),
                                       (3, 2), (12, 11), (51, 50)])
     @pytest.mark.parametrize("hc1", [False, True])
-    def test_same_bits_as_scipy(self, n, p, hc1):
+    def test_agrees_with_scipy(self, n, p, hc1):
         for seed in range(3):
             X, y = self.random_problem(seed, n, p)
-            assert_same_bits(backend.ols_sandwich(X, y, hc1),
-                             scipy_kernel(X, y, hc1))
+            assert_close_to_scipy(backend.ols_sandwich(X, y, hc1),
+                                  scipy_kernel(X, y, hc1), X)
 
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("hc1", [False, True])
-    def test_same_bits_as_scipy_for_any_layout(self, layout, hc1):
+    def test_same_bits_for_any_layout(self, hc1):
+        # the kernel makes one column-major copy of whatever it is given
         X, y = self.random_problem(4, 120, 7)
-        if layout == "F":
-            X = np.asfortranarray(X)
-        elif layout == "strided":
-            X = np.repeat(X, 2, axis=1)[::-1, ::2][::-1]
-            y = np.repeat(y, 3)[::3]
-            assert not (X.flags.c_contiguous or X.flags.f_contiguous)
-        assert_same_bits(backend.ols_sandwich(X, y, hc1),
-                         scipy_kernel(X, y, hc1))
+        strided = np.repeat(X, 2, axis=1)[::-1, ::2][::-1]
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        want = backend.ols_sandwich(X, y, hc1)
+        for layout in (np.asfortranarray(X), strided):
+            assert_same_bits(backend.ols_sandwich(layout, y, hc1), want)
+        assert_same_bits(backend.ols_sandwich(X, np.repeat(y, 3)[::3], hc1),
+                         want)
+        assert_close_to_scipy(want, scipy_kernel(X, y, hc1), X)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("hc1", [False, True])
-    def test_same_bits_as_scipy_near_collinear(self, seed, hc1):
+    def test_agrees_with_scipy_near_collinear(self, seed, hc1):
         X, y = self.random_problem(seed, 200, 6)
         noise = np.random.default_rng(seed).standard_normal(200)
         X[:, 2] = X[:, 1] + 10.0 ** -(4 + seed) * noise
         got = backend.ols_sandwich(X, y, hc1)
         assert got[4] == 6
-        assert_same_bits(got, scipy_kernel(X, y, hc1))
+        assert_close_to_scipy(got, scipy_kernel(X, y, hc1), X)
 
     @pytest.mark.parametrize("p", [3, 12, 40])
     def test_same_rank_and_pivots_as_scipy_when_rank_deficient(self, p):
@@ -414,7 +439,7 @@ class TestKernelDifferential:
                 X[:, -1] = 2.0 * X[:, -2]
             coef, resid, classical, sandwich, rank, piv = \
                 backend.ols_sandwich(X, y, hc1)
-            got = backend.ols_sandwich(X, y, hc1, covariances=False)
+            got = backend.ols_sandwich(X, y, hc1, rows=())
             assert got[2] is None and got[3] is None
             assert (rank < p) == deficient
             assert_same_bits(got, (coef, resid, None, None, rank, piv))
@@ -460,21 +485,22 @@ class TestOneBlasThread:
                                             monkeypatch):
         monkeypatch.setattr(backend, "_LWORK", {})
         seen = []
-        for name in ("dgeqp3", "dorgqr", "dtrtrs"):
+        for name in ("dgeqp3", "dormqr", "dtrtrs"):
             self.spy(monkeypatch, name, seen)
         problem = TestKernelDifferential.random_problem(0)
         first = backend.ols_sandwich(*problem)
-        # a workspace query, then the call, for each factorization routine
-        assert [name for name, _ in seen] == ["dgeqp3", "dgeqp3", "dorgqr",
-                                              "dorgqr", "dtrtrs", "dtrtrs"]
+        # the factorization's workspace query, then the call; Q'y, the
+        # solve for the coefficients, Q [0; c], the solve for Z and
+        # Q [Z; 0], on the minimal workspace that needs no query
+        fit = ["dormqr", "dtrtrs", "dormqr", "dtrtrs", "dormqr"]
+        assert [name for name, _ in seen] == ["dgeqp3", "dgeqp3", *fit]
         assert all(counts and set(counts) == {1} for _, counts in seen)
         assert set(blas_counts()) == {2}
 
-        # the same shape again: the workspace sizes are reused, not queried
+        # the same shape again: the workspace size is reused, not queried
         seen.clear()
         again = backend.ols_sandwich(*problem)
-        assert [name for name, _ in seen] == ["dgeqp3", "dorgqr", "dtrtrs",
-                                              "dtrtrs"]
+        assert [name for name, _ in seen] == ["dgeqp3", *fit]
         assert_same_bits(again, first)
 
     def test_count_restored_after_rank_deficient_return(self,

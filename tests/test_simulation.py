@@ -26,6 +26,24 @@ class TestConfigValidation:
     def test_large_replication_counts_accepted(self):
         SimConfig(replications=100_000)  # full-scale runs are configurable
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5, -2 ** 64,
+                                      1.0, "5", True, None])
+    def test_rejects_seeds_that_are_not_64_bit_ints(self, seed):
+        # masked to 64 bits, -1 would run the study of 2**64 - 1 and
+        # 2**64 + 5 that of 5, under a different recorded seed
+        with pytest.raises(InvalidConfig, match="seed"):
+            SimConfig(seed=seed)
+        with pytest.raises(InvalidConfig, match="seed"):
+            slope_identity_check("semi_linear", n=10, seed=seed)
+
+    def test_accepts_the_whole_64_bit_range(self):
+        for seed in (0, 2 ** 63, 2 ** 64 - 1):
+            y, X = generate_arrays(SimConfig(n=20, seed=seed), 0)
+            assert np.isfinite(y).all() and np.isfinite(X).all()
+        assert not np.array_equal(
+            generate_arrays(SimConfig(n=20, seed=2 ** 64 - 1), 0)[0],
+            generate_arrays(SimConfig(n=20, seed=0), 0)[0])
+
 
 class TestGenerator:
     def test_shapes_and_names(self):

@@ -18,7 +18,12 @@ and the steps of ``hierarchy.hierarchy_pvalues`` take the focus row
 alone; the steps call the kernel directly, with their input checked once
 per hierarchy rather than once per step.  The residualizations of
 ``hierarchy.order_indices`` and ``regression.residualize`` take no row
-and read only the residuals.
+and read only the residuals.  Each requested row is solved, multiplied
+by Q and summed on its own, so its variances are the same bits whatever
+else is asked for: ``coefficient_test(fit_ols(...), j)`` and the
+one-coefficient route give the same p-value.  The price is one
+single-column solve and reflector product per row where ``fit_ols``
+could make one product of p columns.
 
 The kernel runs on one BLAS thread.  At the package's sizes OpenBLAS's
 extra threads gain nothing on the kernel's LAPACK calls and matmuls: they
@@ -125,8 +130,8 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 # optimal lwork of each (routine, shape of its first argument): the
-# query's answer depends on the shape alone.  Two small entries per
-# distinct (n, p) that the process fits.
+# query's answer depends on the shape alone.  Only the factorization
+# queries, so there is one small entry per distinct (n, p) fitted.
 _LWORK: dict = {}
 
 
@@ -154,9 +159,10 @@ def _apply_q(trans, factor, tau, c):
     """Q c (``trans="N"``) or Q'c (``trans="T"``), in c's place.
 
     Q is applied from its Householder reflectors, below R's diagonal in
-    ``factor``.  The minimal workspace, one double per column of c, keeps
-    ``dormqr`` on its unblocked path: no workspace query, and no block
-    reflector to build for the one or few columns it is given.
+    ``factor``, on the minimal workspace of one double per column of c,
+    which needs no query.  ``dormqr`` takes its unblocked path for fewer
+    reflectors than its block size (32) whatever the workspace, so an
+    optimal one would buy nothing below 32 columns.
     """
     c, _, info = dormqr("L", trans, factor, tau, c, c.shape[1],
                         overwrite_c=1)
@@ -198,7 +204,8 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         ``len(rows)`` x ``len(rows)`` blocks of the full p x p matrices
         at ``rows``, in that order; with ``rows=()`` both are ``None``.
         The coefficients, residuals, rank and pivots are the same bits
-        for any ``rows``.
+        for any ``rows``, and so are a row's variances, the blocks'
+        diagonal entries; the off-diagonal entries agree to rounding.
 
     Returns
     -------
@@ -237,17 +244,27 @@ def ols_sandwich(X, y, hc1=False, rows=None):
             return coef, resid, None, None, rank, piv
 
         # R'Z = E, E's columns the unit vectors at the rows' pivot
-        # positions; then A = Q [Z; 0], scaled row by row by e
-        A = np.zeros((n, len(rows)), order="F")
+        # positions; then A = Q [Z; 0], scaled row by row by e.  Each
+        # column is solved and multiplied on its own, and the diagonal
+        # entries are summed as k separate one-column products, as a
+        # one-row call sums them, so a row's variances are the same bits
+        # whatever else is asked for.
+        k = len(rows)
+        A = np.zeros((n, k), order="F")
         A[:p] = piv[:, None] == np.asarray(rows)
-        A = _solve(factor, A, 1)
-        Z = A[:p].copy()
-        A = _apply_q("N", factor, tau, A)
+        for i in range(k):
+            A[:, i:i + 1] = _solve(factor, A[:, i:i + 1], 1)
+        Z = A[:p].copy(order="F")
+        for i in range(k):
+            A[:, i:i + 1] = _apply_q("N", factor, tau, A[:, i:i + 1])
         A *= resid[:, None]
-
-        sigma2 = float(resid @ resid) / (n - p) if n > p else 0.0
-        classical = sigma2 * (Z.T @ Z)
+        classical = Z.T @ Z
         sandwich = A.T @ A
+        if k > 1:
+            for block, cols in ((classical, Z.T), (sandwich, A.T)):
+                block[np.diag_indices(k)] = np.matmul(cols[:, None],
+                                                      cols[..., None]).flat
+        classical *= float(resid @ resid) / (n - p) if n > p else 0.0
         if hc1:
             sandwich *= n / (n - p)
         return coef, resid, classical, sandwich, rank, piv

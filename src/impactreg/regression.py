@@ -11,7 +11,8 @@ takes them all, ``residualize`` none, and the one-coefficient route
 coefficient's.  The hierarchy's steps call the kernel directly, with
 their input checked once per hierarchy.  Every test, on any route, is
 decided by ``_white_test``, so the exact-fit and zero-SE rule exists
-once.
+once, and from the same bits: the kernel forms a row's variances alike
+whatever else it is asked for.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _coefficient_row(y, X, index, column_names=None, flavor="HC0"):
 
     The fit is ``fit_ols(y, X, column_names, flavor)``'s, with the same
     checks and errors, but the kernel forms only coefficient ``index``'s
-    covariance row.  Returns ``_white_test``'s leading arguments:
+    covariance row, with the same bits as ``fit_ols``'s.  Returns
+    ``_white_test``'s leading arguments:
     ``(estimate, variance, classical variance, dof, ||e||, ||y||)``.
     """
     y, _, coef, resid, classical, sandwich = _fit(y, X, column_names,

@@ -15,6 +15,7 @@ count.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -32,15 +33,21 @@ TABLE_BETA = {5: 1.00, 8: 0.75, 10: 0.65, 20: 0.45, 50: 0.30}
 
 
 def _check_seed(seed):
-    """Reject a seed that is not an int in [0, 2^64).
+    """The seed as an int in [0, 2^64), or ``InvalidConfig``.
 
-    The seed fills the upper 64 bits of each replication's Philox key, so
+    Any integer type is taken (a NumPy integer too, not a bool).  The
+    seed fills the upper 64 bits of each replication's Philox key, so
     outside that range two seeds would share a stream (-1 and 2^64 - 1,
     5 and 2^64 + 5) while their reports recorded different seeds.
     """
-    if not (isinstance(seed, int) and not isinstance(seed, bool)
-            and 0 <= seed < 2 ** 64):
-        raise InvalidConfig(f"seed must be an int in [0, 2**64), got {seed!r}")
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if isinstance(seed, bool) or value is None or not 0 <= value < 2 ** 64:
+        raise InvalidConfig(
+            f"seed must be an int in [0, 2**64), got {seed!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class SimConfig:
     reference: str = "student_t"
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.m < 2:
             raise InvalidConfig("need m >= 2")
         if not 1 <= self.k <= self.m - 1:
@@ -259,7 +266,7 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     X_2 and everything normal.  Returns the fitted slope, the closed-form
     target and the robust standard error of the fit.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
     params = dict(params or {})
     th1 = float(params.get("theta1", 1.0))
     th2 = float(params.get("theta2", 1.0))

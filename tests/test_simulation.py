@@ -27,7 +27,8 @@ class TestConfigValidation:
         SimConfig(replications=100_000)  # full-scale runs are configurable
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5, -2 ** 64,
-                                      1.0, "5", True, None])
+                                      1.0, "5", True, None, np.int64(-1),
+                                      np.float64(5.0), np.bool_(True)])
     def test_rejects_seeds_that_are_not_64_bit_ints(self, seed):
         # masked to 64 bits, -1 would run the study of 2**64 - 1 and
         # 2**64 + 5 that of 5, under a different recorded seed
@@ -40,6 +41,15 @@ class TestConfigValidation:
         for seed in (0, 2 ** 63, 2 ** 64 - 1):
             y, X = generate_arrays(SimConfig(n=20, seed=seed), 0)
             assert np.isfinite(y).all() and np.isfinite(X).all()
+        # NumPy integers are the same seeds, recorded as ints
+        want = generate_arrays(SimConfig(n=20, seed=7), 0)[0]
+        for seed in (np.int64(7), np.uint64(7), np.int8(7)):
+            config = SimConfig(n=20, seed=seed)
+            assert type(config.seed) is int and config.seed == 7
+            assert np.array_equal(generate_arrays(config, 0)[0], want)
+            assert slope_identity_check("semi_linear", n=10, seed=seed) == \
+                slope_identity_check("semi_linear", n=10, seed=7)
+        assert SimConfig(seed=np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
         assert not np.array_equal(
             generate_arrays(SimConfig(n=20, seed=2 ** 64 - 1), 0)[0],
             generate_arrays(SimConfig(n=20, seed=0), 0)[0])

@@ -23,7 +23,11 @@ by Q and summed on its own, so its variances are the same bits whatever
 else is asked for: ``coefficient_test(fit_ols(...), j)`` and the
 one-coefficient route give the same p-value.  The price is one
 single-column solve and reflector product per row where ``fit_ols``
-could make one product of p columns.
+could make one product of p columns.  A one-row request, the route of
+every test in the package, takes a direct path: it looks up the row's
+pivot position and solves, multiplies and sums one column, without the
+masks, slices and copies of the k-row loop, whose column it equals bit
+for bit.
 
 The kernel runs on one BLAS thread.  At the package's sizes OpenBLAS's
 extra threads gain nothing on the kernel's LAPACK calls and matmuls: they
@@ -223,11 +227,13 @@ def ols_sandwich(X, y, hc1=False, rows=None):
                                    np.array(X, dtype=float, order="F"))
         n, p = factor.shape
         piv -= 1  # LAPACK numbers columns from 1
-        diag = np.abs(factor.diagonal())
+        # p Python floats: counted faster than as an array at these sizes
+        diag = factor.diagonal().tolist()
         if diag[0] == 0.0:
             rank = 0
         else:
-            rank = int(np.count_nonzero(diag >= RANK_TOL * diag[0]))
+            tol = RANK_TOL * abs(diag[0])
+            rank = sum(abs(d) >= tol for d in diag)
         if rank < p:
             return None, None, None, None, rank, piv
 
@@ -242,6 +248,22 @@ def ols_sandwich(X, y, hc1=False, rows=None):
             rows = range(p)
         if not rows:
             return coef, resid, None, None, rank, piv
+        scale = float(resid @ resid) / (n - p) if n > p else 0.0
+        if len(rows) == 1:
+            # the route of every test in the package: R'z = e_k, k the
+            # row's pivot position, and a = diag(e) Q [z; 0], with the
+            # same LAPACK calls and products as a column of the loop
+            # below but none of its masks, slices and copies
+            a = np.zeros((n, 1), order="F")
+            a[piv.tolist().index(rows[0])] = 1.0
+            a = _solve(factor, a, 1)
+            classical = np.array([[(a[:p, 0] @ a[:p, 0]) * scale]])
+            a = _apply_q("N", factor, tau, a)[:, 0]
+            a *= resid
+            sandwich = np.array([[a @ a]])
+            if hc1:
+                sandwich *= n / (n - p)
+            return coef, resid, classical, sandwich, rank, piv
 
         # R'Z = E, E's columns the unit vectors at the rows' pivot
         # positions; then A = Q [Z; 0], scaled row by row by e.  Each
@@ -260,11 +282,10 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         A *= resid[:, None]
         classical = Z.T @ Z
         sandwich = A.T @ A
-        if k > 1:
-            for block, cols in ((classical, Z.T), (sandwich, A.T)):
-                block[np.diag_indices(k)] = np.matmul(cols[:, None],
-                                                      cols[..., None]).flat
-        classical *= float(resid @ resid) / (n - p) if n > p else 0.0
+        for block, cols in ((classical, Z.T), (sandwich, A.T)):
+            block[np.diag_indices(k)] = np.matmul(cols[:, None],
+                                                  cols[..., None]).flat
+        classical *= scale
         if hc1:
             sandwich *= n / (n - p)
         return coef, resid, classical, sandwich, rank, piv

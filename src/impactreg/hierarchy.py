@@ -8,7 +8,8 @@ regression of y on the focus plus the first k ordered covariates;
 testing stops at the first non-rejection.
 
 Both loops call the least-squares kernel directly, on leading column
-slices of one preallocated design, and ask it only for what they read:
+slices of one preallocated column-major design, so the kernel's copy of
+each slice is one contiguous block, and ask it only for what they read:
 the ordering's residualizations ask for no covariance row (``rows=()``),
 and the steps ask for the focus row alone (``rows=(1,)``), check their
 input once per hierarchy instead of once per fit, then test the focus
@@ -18,6 +19,7 @@ keep the bits of the ``fit_ols`` route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,16 +70,22 @@ def order_indices(x_focus, candidates):
             f"candidates have {n} rows but x_focus has {x_focus.shape[0]}")
     if q == 0:
         return []
+    # the checks and the correlations read one column-major copy of the
+    # candidates: reductions down its contiguous columns run several
+    # times faster than down the rows of a row-major input, and it is
+    # laid out like the copy candidates[:, remaining] that NumPy's
+    # indexing returns
+    centred = np.array(candidates, order="F")
     # constancy is tested exactly: the std of a constant column whose
     # mean does not round exactly is 1e-17..1e-13, not 0
     if np.ptp(x_focus) == 0.0:
         raise DegenerateCovariate("focus covariate is constant")
-    if np.any(np.ptp(candidates, axis=0) == 0.0):
+    if np.any(np.ptp(centred, axis=0) == 0.0):
         raise DegenerateCovariate("a candidate covariate is constant")
     # the residualizations below call the kernel, which does not check
     # its input; with one candidate there is nothing to residualize
     if q > 1 and not (np.isfinite(x_focus).all()
-                      and np.isfinite(candidates).all()):
+                      and np.isfinite(centred).all()):
         raise NonFinite("non-finite entries in regression input")
 
     # one BLAS thread, as in the kernel (see backend): on tall data the
@@ -87,16 +95,14 @@ def order_indices(x_focus, candidates):
     with backend._ONE_BLAS_THREAD:
         # the candidates are centred and their norms taken once; each pass
         # correlates the current focus residual with the remaining
-        # columns.  The copy is column-major, like the copy
-        # candidates[:, remaining] that NumPy's indexing returns, so each
-        # column is summed in the same order and the correlations keep
-        # every bit of centring that copy.
-        centred = np.array(candidates, order="F")
+        # columns.  Each column is summed in the order the indexing copy
+        # sums it, so the correlations keep every bit of centring that
+        # copy.
         centred -= centred.mean(axis=0)
         norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
         # the picks so far, after an intercept column: each
         # residualization fits a leading slice of it
-        design = np.empty((n, q + 1))
+        design = np.empty((n, q + 1), order="F")
         design[:, 0] = 1.0
         remaining = list(range(q))
         order: list[int] = []
@@ -106,13 +112,13 @@ def order_indices(x_focus, candidates):
         # no warning of theirs is hidden
         with np.errstate(invalid="ignore", divide="ignore"):
             while len(remaining) > 1:
-                v = resid - resid.mean()
+                v = resid - np.add.reduce(resid) / n
                 corr = (np.abs(centred[:, remaining].T @ v)
-                        / (np.sqrt(v @ v) * norms[remaining]))
+                        / (math.sqrt(v @ v) * norms[remaining]))
                 # argmin with position-order tie-break; nan (degenerate
                 # residual direction) sorts last
                 corr = np.where(np.isnan(corr), np.inf, corr)
-                pick = remaining[int(np.argmin(corr))]
+                pick = remaining[int(corr.argmin())]
                 order.append(pick)
                 remaining.remove(pick)
                 p = len(order) + 1
@@ -190,7 +196,7 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     pvalues: list = [None] * steps
     rejected = 0
     # every step fits a leading slice of one design [1, x_focus, ordered]
-    design = np.empty((n, q + 2))
+    design = np.empty((n, q + 2), order="F")
     design[:, 0] = 1.0
     design[:, 1] = x_focus
     design[:, 2:] = ordered

@@ -80,14 +80,25 @@ def _sd(joint: DiscreteJoint, values):
 
 
 def _conditional_mean_y(joint: DiscreteJoint, cols):
-    """E(Y | X_cols) as an atom-aligned vector, plus group weights/means."""
-    keys = [tuple(row) for row in joint.x[:, cols]]
-    totals: dict = {}
-    for key, p, y in zip(keys, joint.probs, joint.y):
-        w, wy = totals.get(key, (0.0, 0.0))
-        totals[key] = (w + p, wy + p * y)
-    means = {k: (wy / w if w > 0 else 0.0) for k, (w, wy) in totals.items()}
-    return np.array([means[k] for k in keys]), totals, means
+    """E(Y | X_cols) as an atom-aligned vector, and its groups.
+
+    Returns ``(cond_mean, w, h, keys)``: per group (atoms with equal
+    X_cols, -0.0 and 0.0 being equal), its weight, its mean of Y and its
+    first atom's X_cols, the groups in order of first appearance.  Each
+    group's sums add its atoms' terms in support order, from 0.0.
+    """
+    x = joint.x[:, cols]
+    _, first, inverse = np.unique(x, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse.reshape(-1)]
+    w = np.bincount(group, weights=joint.probs, minlength=order.size)
+    wy = np.bincount(group, weights=joint.probs * joint.y,
+                     minlength=order.size)
+    h = np.divide(wy, w, out=np.zeros_like(w), where=w > 0)
+    return h[group], w, h, x[first[order]]
 
 
 def exact_mean_impact(joint: DiscreteJoint, conditioning=None):
@@ -97,7 +108,7 @@ def exact_mean_impact(joint: DiscreteJoint, conditioning=None):
     cols = list(conditioning)
     if not cols:
         return 0.0
-    cond_mean, _, _ = _conditional_mean_y(joint, cols)
+    cond_mean, _, _, _ = _conditional_mean_y(joint, cols)
     return _sd(joint, cond_mean)
 
 
@@ -164,13 +175,9 @@ def exact_partial_mean_impact(joint: DiscreteJoint, k=0):
     {1, X_j (j != k)} in L2 of the covariate marginal.
     """
     others = [j for j in range(joint.m) if j != k]
-    _, totals, means = _conditional_mean_y(joint, list(range(joint.m)))
     # collapse to the covariate marginal
-    keys = list(totals.keys())
-    w = np.array([totals[key][0] for key in keys])
-    h = np.array([means[key] for key in keys])
-    xs = np.array(keys)
-    design = np.column_stack([np.ones(len(keys)), xs[:, others]])
+    _, w, h, xs = _conditional_mean_y(joint, list(range(joint.m)))
+    design = np.column_stack([np.ones(len(w)), xs[:, others]])
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], h * sw, rcond=None)
     resid = h - design @ coef
@@ -189,10 +196,7 @@ def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
     """
     if n_cap < 1:
         raise OutOfRange("n_cap must be >= 1")
-    _, totals, means = _conditional_mean_y(joint, list(range(joint.m)))
-    keys = list(totals.keys())
-    w = np.array([totals[key][0] for key in keys])
-    h = np.array([means[key] for key in keys])
+    _, w, h, _ = _conditional_mean_y(joint, list(range(joint.m)))
     ey = float(np.dot(w, h))
     dhat = h - ey
     iota = math.sqrt(max(float(np.dot(w, dhat ** 2)), 0.0))

@@ -206,7 +206,7 @@ def _white_test(estimate, variance, classical_variance, dof, resid_norm,
     ``coefficient_test``); every route, the hierarchy's steps included,
     decides its tests here.
     """
-    std_error = float(np.sqrt(max(variance, 0.0)))
+    std_error = math.sqrt(max(variance, 0.0))
     if (resid_norm <= _EXACT_FIT_RTOL * response_norm
             or variance <= _EXACT_FIT_RTOL ** 2 * (dof * classical_variance)):
         raise ZeroStdError(

@@ -9,13 +9,16 @@ is X_1 = Xt_1 + beta * sum of the first k confounders, and
 
 Each replication draws from its own counter-based Philox stream keyed by
 (seed, replication index), so results are bit-identical for any worker
-count.
+count.  Each thread keeps one generator and resets it to the fresh state
+of the next key instead of building one per stream, and X is returned as
+a view of the buffer the normals were drawn into.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -120,14 +123,40 @@ class SimReport:
         return d
 
 
+# one generator per thread, reset by ``_rng`` for every stream it draws
+_STREAMS = threading.local()
+
+
 def _rng(seed, replication_index):
-    """Independent Philox substream keyed by (seed, replication index)."""
-    key = seed << 64 | (int(replication_index) & (2 ** 64 - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent Philox substream keyed by (seed, replication index).
+
+    The stream is ``Generator(Philox(key=seed << 64 | index))``'s, bit for
+    bit.  Rather than build that generator, which also reads OS entropy
+    for a seed sequence the key makes unused, the calling thread's own
+    generator is reset to the fresh state of that key: counter 0 and an
+    empty buffer.  The generator returned is valid until the thread's
+    next call.
+    """
+    index = int(replication_index) & (2 ** 64 - 1)
+    rng = getattr(_STREAMS, "rng", None)
+    if rng is None:
+        rng = _STREAMS.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (index, seed)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def generate_arrays(config: SimConfig, replication_index: int):
-    """Draw one replication; returns (y, X) with X = (X_1 .. X_m)."""
+    """Draw one replication; returns (y, X) with X = (X_1 .. X_m).
+
+    X is a view of the draw buffer, whose rows hold (X_1 .. X_m, eps):
+    X_1 is formed in Xt_1's place once y has read Xt_1, so no draw is
+    copied.
+    """
     rng = _rng(config.seed, replication_index)
     n, m, k = config.n, config.m, config.k
     z = rng.standard_normal((n, m + 1))  # Xt_1, X_2..X_m, eps
@@ -135,16 +164,18 @@ def generate_arrays(config: SimConfig, replication_index: int):
     xj = z[:, 1:m]                       # X_2 .. X_m
     eps = z[:, m]
     confounders = xj[:, :k]              # the k covariates tied to X_1
-    x1 = xt1 + config.beta * confounders.sum(axis=1)
-    y = (config.theta1 * xt1 + xj.sum(axis=1) + (xj ** 2).sum(axis=1) + eps)
+    total = xj.sum(axis=1)
+    y = (config.theta1 * xt1 + total + (xj ** 2).sum(axis=1) + eps)
     if config.gamma != 0.0 and k >= 2:
         inter = np.zeros(n)
         for a in range(k):
             for b in range(a + 1, k):
                 inter += confounders[:, a] * confounders[:, b]
         y = y + config.gamma * inter
-    X = np.column_stack([x1, xj])
-    return y, X
+    # X_1 in Xt_1's place; with k = m - 1, as in the tables, the
+    # confounders are all of X_2..X_m and their sum is already taken
+    xt1 += config.beta * (total if k == m - 1 else confounders.sum(axis=1))
+    return y, z[:, :m]
 
 
 def generate_dataset(config: SimConfig, replication_index: int) -> Dataset:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -295,6 +296,28 @@ class TestSimulate:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    # sha256 of the reports, recorded when X was still a copy of the
+    # draws and every kernel call went through the k-row loop; a change
+    # that moves them changes the published tables
+    @pytest.mark.parametrize("preset, m, flavor, digest", [
+        ("table1", "5", "HC0", "af346c8c8b3172a7fc83a14751fea20a"
+                               "9e851626a92192e8b7c49c413abc1a01"),
+        ("table1", "5", "HC1", "b07605d7ab9e92266dfe023c06909eae"
+                               "b2b2f35ec9cdff92de15957392538f72"),
+        ("table2", "10", "HC0", "dc2a151f744d4c853622ca3ecb960e53"
+                                "398ce9644613604f4abce5f5605df209"),
+        ("table2", "10", "HC1", "397e121ded45cc658d04bcd8f1ba16ca"
+                                "b2104d5e8f24fe3f388f584f792c3281"),
+    ])
+    def test_reports_keep_their_recorded_bytes(self, preset, m, flavor,
+                                               digest, tmp_path):
+        out = tmp_path / "s.json"
+        code = run(["simulate", "--preset", preset, "--m", m, "--n", "500",
+                    "--reps", "300", "--seed", "7", "--flavor", flavor,
+                    "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("flag, env", [
         (["--threads", "0"], "1"), (["--threads", "-2"], "1"),

@@ -446,6 +446,23 @@ class TestRowCounts:
                                       include_bivariate=bivariate)
 
 
+def test_kernel_reads_column_major_slices(monkeypatch):
+    # both loops fit leading slices of one column-major design, so the
+    # kernel's copy of each is one contiguous block
+    layouts = []
+    real = backend.ols_sandwich
+
+    def spy(X, *args, **kwargs):
+        layouts.append(X.flags.f_contiguous)
+        return real(X, *args, **kwargs)
+
+    monkeypatch.setattr(backend, "ols_sandwich", spy)
+    y, x1, cand = TestRowCounts.problem(n=60, q=5)
+    order_indices(x1, cand)
+    hierarchy_pvalues(y, x1, cand, alpha=1.0, include_bivariate=True)
+    assert len(layouts) == 4 + 6 and all(layouts)
+
+
 class TestHierarchyPvalues:
     def test_hc1_is_more_conservative(self):
         rng = np.random.default_rng(8)

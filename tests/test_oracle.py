@@ -8,7 +8,7 @@ from impactreg import (DiscreteJoint, confounding_example_value,
                        exact_mean_impact, exact_partial_linear_impact,
                        exact_partial_mean_impact, population_params,
                        population_theta, quadratic_slope_closed_form)
-from impactreg.oracle import exact_mod
+from impactreg.oracle import _conditional_mean_y, exact_mod
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
                               OutOfRange, SingularMoments)
 
@@ -81,6 +81,56 @@ class TestExactImpacts:
         joint = random_joint(7, m=1)
         assert exact_partial_linear_impact(joint, 0) == pytest.approx(
             exact_linear_impact(joint, 0), rel=1e-10)
+
+
+def dict_grouping(joint, cols):
+    """``_conditional_mean_y`` by a dict of atom tuples, group by group."""
+    keys = [tuple(row) for row in joint.x[:, cols]]
+    totals: dict = {}
+    for key, p, y in zip(keys, joint.probs, joint.y):
+        w, wy = totals.get(key, (0.0, 0.0))
+        totals[key] = (w + p, wy + p * y)
+    means = {k: (wy / w if w > 0 else 0.0) for k, (w, wy) in totals.items()}
+    return (np.array([means[k] for k in keys]),
+            np.array([w for w, _ in totals.values()]),
+            np.array(list(means.values())),
+            np.array(list(totals), dtype=float).reshape(len(totals), -1))
+
+
+class TestGrouping:
+    @staticmethod
+    def assert_same_bits(got, want):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_dict_grouping(self, seed):
+        # few distinct covariate values, so that groups hold many atoms
+        rng = np.random.default_rng(seed)
+        s, m = int(rng.integers(2, 400)), int(rng.integers(1, 4))
+        x = rng.integers(-2, 3, size=(s, m)) * rng.choice([0.1, 1.0, 7.0])
+        support = np.column_stack([np.arange(s) * 0.5 + rng.random(), x])
+        probs = rng.dirichlet(np.full(s, 0.3))
+        probs[rng.random(s) < 0.1] = 0.0  # zero-weight atoms and groups
+        probs /= probs.sum()
+        joint = DiscreteJoint(support, probs)
+        for cols in ([0], list(range(m)), list(range(m))[::-1]):
+            self.assert_same_bits(_conditional_mean_y(joint, cols),
+                                  dict_grouping(joint, cols))
+
+    def test_signed_zeros_fall_in_one_group(self):
+        # -0.0 == 0.0, so the dict puts them in one group, keyed by the
+        # first atom's value
+        support = [[1.0, -0.0, 1.0], [2.0, 0.0, 1.0], [3.0, 0.0, 2.0],
+                   [4.0, -0.0, 2.0], [5.0, 1.0, 1.0]]
+        joint = DiscreteJoint(np.array(support),
+                              np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        got = _conditional_mean_y(joint, [0, 1])
+        self.assert_same_bits(got, dict_grouping(joint, [0, 1]))
+        assert got[1].shape == (3,)
+        assert math.copysign(1.0, got[3][0, 0]) == -1.0
+        self.assert_same_bits(_conditional_mean_y(joint, [0]),
+                              dict_grouping(joint, [0]))
 
 
 class TestPopulationTheta:

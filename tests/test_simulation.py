@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -106,6 +109,90 @@ class TestGenerator:
         y_a, _ = generate_arrays(SimConfig(n=50, seed=1), 0)
         y_b, _ = generate_arrays(SimConfig(n=50, seed=2), 0)
         assert not np.allclose(y_a, y_b)
+
+
+def fresh_arrays(config, index):
+    """``generate_arrays`` from a newly built generator, X a new array."""
+    rng = np.random.Generator(np.random.Philox(
+        key=config.seed << 64 | index))
+    n, m, k = config.n, config.m, config.k
+    z = rng.standard_normal((n, m + 1))
+    xt1, xj, eps = z[:, 0], z[:, 1:m], z[:, m]
+    x1 = xt1 + config.beta * xj[:, :k].sum(axis=1)
+    y = config.theta1 * xt1 + xj.sum(axis=1) + (xj ** 2).sum(axis=1) + eps
+    if config.gamma != 0.0 and k >= 2:
+        inter = np.zeros(n)
+        for a in range(k):
+            for b in range(a + 1, k):
+                inter += xj[:, a] * xj[:, b]
+        y = y + config.gamma * inter
+    return y, np.column_stack([x1, xj])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStreams:
+    SEEDS = (0, 1, 2 ** 64 - 1)
+    INDICES = (0, 1, 2 ** 63, 2 ** 64 - 1)
+
+    @staticmethod
+    def draws(rng):
+        return (rng.standard_normal((7, 3)), rng.random(5),
+                rng.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                rng.bit_generator.random_raw(9))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_rng_draws_the_stream_of_its_key(self, seed, index):
+        want = self.draws(np.random.Generator(np.random.Philox(
+            key=seed << 64 | index)))
+        # leave the reused generator mid-buffer, with a spare 32-bit half
+        simulate._rng(5, 9).integers(0, 2 ** 32, 3, dtype=np.uint32)
+        for _ in range(2):
+            got = self.draws(simulate._rng(seed, index))
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(m=10, k=9, beta=0.65, theta1=0.4, n=50, seed=3),
+        SimConfig(m=5, k=2, beta=1.0, gamma=0.7, theta1=0.2, n=40,
+                  seed=2 ** 64 - 1),
+        SimConfig(m=2, k=1, n=30, seed=0),
+    ], ids=["table2", "gamma", "m2"])
+    def test_arrays_keep_the_bits_of_a_fresh_generator(self, config):
+        for index in (0, 1, 2 ** 63):
+            y, X = generate_arrays(config, index)
+            want_y, want_X = fresh_arrays(config, index)
+            assert same_bits(y, want_y) and same_bits(X, want_X)
+            # X is the draw buffer itself, not a copy of it
+            assert not X.flags.owndata
+
+    def test_threads_draw_the_serial_arrays(self):
+        config = SimConfig(m=10, k=9, beta=0.65, n=200, seed=4)
+        indices = list(range(300))
+        want = {i: generate_arrays(config, i) for i in indices}
+        orders = [indices, indices[::-1], indices[::2] + indices[1::2],
+                  indices[1::2] + indices[::2]]
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def draw(order):
+            start.wait()
+            return [(i, generate_arrays(config, i)) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so draws interleave
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                runs = [f.result(timeout=60)
+                        for f in [pool.submit(draw, o) for o in orders]]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, run in zip(orders, runs):
+            assert [i for i, _ in run] == order
+            for i, (y, X) in run:
+                assert same_bits(y, want[i][0]) and same_bits(X, want[i][1])
 
 
 class TestRunStudy:

@@ -18,16 +18,17 @@ and the steps of ``hierarchy.hierarchy_pvalues`` take the focus row
 alone; the steps call the kernel directly, with their input checked once
 per hierarchy rather than once per step.  The residualizations of
 ``hierarchy.order_indices`` and ``regression.residualize`` take no row
-and read only the residuals.  Each requested row is solved, multiplied
-by Q and summed on its own, so its variances are the same bits whatever
-else is asked for: ``coefficient_test(fit_ols(...), j)`` and the
-one-coefficient route give the same p-value.  The price is one
+and read only the residuals.
+
+The row contract, which the other modules rely on: the coefficients,
+residuals, rank and pivots are the same bits for any ``rows``, and so
+are a row's variances, the diagonal entries of the blocks returned.
+Each requested row is solved, multiplied by Q and summed on its own, in
+one loop over the rows, so ``coefficient_test(fit_ols(...), j)`` and the
+one-coefficient route give the same p-value.  The off-diagonal entries,
+products of the stacked rows, agree to rounding.  The price is one
 single-column solve and reflector product per row where ``fit_ols``
-could make one product of p columns.  A one-row request, the route of
-every test in the package, takes a direct path: it looks up the row's
-pivot position and solves, multiplies and sums one column, without the
-masks, slices and copies of the k-row loop, whose column it equals bit
-for bit.
+could make one product of p columns.
 
 The kernel runs on one BLAS thread.  At the package's sizes OpenBLAS's
 extra threads gain nothing on the kernel's LAPACK calls and matmuls: they
@@ -133,30 +134,27 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-# optimal lwork of each (routine, shape of its first argument): the
-# query's answer depends on the shape alone.  Only the factorization
-# queries, so there is one small entry per distinct (n, p) fitted.
+# optimal lwork of the factorization for each shape (n, p) fitted: the
+# query's answer depends on the shape alone
 _LWORK: dict = {}
 
 
-def _lapack(routine, *args, **kwargs):
-    """Outputs of ``routine`` run with its optimal workspace, as SciPy does.
+def _factor(a):
+    """``dgeqp3`` of the column-major a, in a's place: (factor, piv, tau).
 
-    The workspace is queried once per routine and shape of the first
-    argument, then reused.  The query and the call both pass
-    ``overwrite_a=1``: the first argument is a column-major array owned
-    by the kernel, so neither copies it (the query leaves it untouched).
+    The optimal workspace is queried once per shape, then reused, as
+    SciPy would query it on every call.  The query and the call both
+    pass ``overwrite_a=1``: a is owned by the kernel, so neither copies
+    it (the query leaves it untouched).
     """
-    key = (routine, args[0].shape)
-    lwork = _LWORK.get(key)
+    lwork = _LWORK.get(a.shape)
     if lwork is None:
-        lwork = _LWORK[key] = int(
-            routine(*args, lwork=-1, overwrite_a=1, **kwargs)[-2][0])
-    *outputs, info = routine(*args, lwork=lwork, overwrite_a=1, **kwargs)
+        lwork = _LWORK[a.shape] = int(
+            dgeqp3(a, lwork=-1, overwrite_a=1)[-2][0])
+    factor, piv, tau, _, info = dgeqp3(a, lwork=lwork, overwrite_a=1)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of "
-                         f"{routine.__name__}")
-    return outputs[:-1]
+        raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+    return factor, piv, tau
 
 
 def _apply_q(trans, factor, tau, c):
@@ -207,9 +205,8 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         for all of them.  The covariances returned are the
         ``len(rows)`` x ``len(rows)`` blocks of the full p x p matrices
         at ``rows``, in that order; with ``rows=()`` both are ``None``.
-        The coefficients, residuals, rank and pivots are the same bits
-        for any ``rows``, and so are a row's variances, the blocks'
-        diagonal entries; the off-diagonal entries agree to rounding.
+        What keeps its bits whatever ``rows`` is: see the module
+        docstring.
 
     Returns
     -------
@@ -223,8 +220,7 @@ def ols_sandwich(X, y, hc1=False, rows=None):
     with _ONE_BLAS_THREAD:
         # X P = Q R: dgeqp3 leaves R in the upper triangle of its
         # column-major copy of X and the Householder vectors below it
-        factor, piv, tau = _lapack(dgeqp3,
-                                   np.array(X, dtype=float, order="F"))
+        factor, piv, tau = _factor(np.array(X, dtype=float, order="F"))
         n, p = factor.shape
         piv -= 1  # LAPACK numbers columns from 1
         # p Python floats: counted faster than as an array at these sizes
@@ -249,43 +245,29 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         if not rows:
             return coef, resid, None, None, rank, piv
         scale = float(resid @ resid) / (n - p) if n > p else 0.0
-        if len(rows) == 1:
-            # the route of every test in the package: R'z = e_k, k the
-            # row's pivot position, and a = diag(e) Q [z; 0], with the
-            # same LAPACK calls and products as a column of the loop
-            # below but none of its masks, slices and copies
-            a = np.zeros((n, 1), order="F")
-            a[piv.tolist().index(rows[0])] = 1.0
+        k = len(rows)
+        classical = np.empty((k, k))
+        sandwich = np.empty((k, k))
+        Zt = np.empty((k, p))
+        # row i of At is a_i, solved and multiplied in its place through
+        # an (n, 1) column-major view
+        At = np.zeros((k, n))
+        position = piv.tolist().index
+        for i, row in enumerate(rows):
+            # R'z = e_j, j the row's pivot position, and a = diag(e) Q [z; 0]
+            a = At[i:i + 1].T
+            a[position(row)] = 1.0
             a = _solve(factor, a, 1)
-            classical = np.array([[(a[:p, 0] @ a[:p, 0]) * scale]])
+            Zt[i] = z = a[:p, 0]
+            classical[i, i] = (z @ z) * scale
             a = _apply_q("N", factor, tau, a)[:, 0]
             a *= resid
-            sandwich = np.array([[a @ a]])
-            if hc1:
-                sandwich *= n / (n - p)
-            return coef, resid, classical, sandwich, rank, piv
-
-        # R'Z = E, E's columns the unit vectors at the rows' pivot
-        # positions; then A = Q [Z; 0], scaled row by row by e.  Each
-        # column is solved and multiplied on its own, and the diagonal
-        # entries are summed as k separate one-column products, as a
-        # one-row call sums them, so a row's variances are the same bits
-        # whatever else is asked for.
-        k = len(rows)
-        A = np.zeros((n, k), order="F")
-        A[:p] = piv[:, None] == np.asarray(rows)
-        for i in range(k):
-            A[:, i:i + 1] = _solve(factor, A[:, i:i + 1], 1)
-        Z = A[:p].copy(order="F")
-        for i in range(k):
-            A[:, i:i + 1] = _apply_q("N", factor, tau, A[:, i:i + 1])
-        A *= resid[:, None]
-        classical = Z.T @ Z
-        sandwich = A.T @ A
-        for block, cols in ((classical, Z.T), (sandwich, A.T)):
-            block[np.diag_indices(k)] = np.matmul(cols[:, None],
-                                                  cols[..., None]).flat
-        classical *= scale
+            sandwich[i, i] = a @ a
+        if k > 1:
+            # the off-diagonal entries of s^2 Z'Z and A'A
+            off = ~np.eye(k, dtype=bool)
+            classical[off] = (Zt @ Zt.T)[off] * scale
+            sandwich[off] = (At @ At.T)[off]
         if hc1:
             sandwich *= n / (n - p)
         return coef, resid, classical, sandwich, rank, piv

@@ -84,7 +84,10 @@ def _load_dataset(args):
 # ---------------------------------------------------------------- analyze
 
 def _check_analyze_flags(args, adjust):
-    """Reject flag combinations that would be silently ignored."""
+    """Reject bad values and flag combinations that would be ignored."""
+    # false for nan and the infinities too
+    if not 0.0 < args.alpha < 1.0:
+        raise InvalidConfig(f"--alpha must be in (0, 1), got {args.alpha}")
     if args.hierarchy:
         if args.adjust is not None:
             raise InvalidConfig(
@@ -214,11 +217,11 @@ def _cmd_simulate(args):
             "report_type": "simulate",
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            **report.as_dict(include_elapsed=False),
+            **report.as_dict(),
         }
         _write_text(args.out, _json_report(payload))
     else:
-        d = report.as_dict(include_elapsed=False)
+        d = report.as_dict()
         cfg = d.pop("config")
         header = (list(cfg) + [k for k in d])
         row = [cfg[k] for k in cfg] + [d[k] for k in d]

@@ -44,10 +44,6 @@ class Dataset:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def ncols(self) -> int:
-        return self.values.shape[1]
-
     def index(self, column: str) -> int:
         try:
             return self._index[column]

@@ -13,8 +13,9 @@ each slice is one contiguous block, and ask it only for what they read:
 the ordering's residualizations ask for no covariance row (``rows=()``),
 and the steps ask for the focus row alone (``rows=(1,)``), check their
 input once per hierarchy instead of once per fit, then test the focus
-with ``regression``'s own rule.  The ordering and the step p-values
-keep the bits of the ``fit_ols`` route.
+with ``regression``'s own rule.  By the kernel's row contract (see
+:mod:`impactreg.backend`), the ordering and the step p-values keep the
+bits of the ``fit_ols`` route.
 """
 
 from __future__ import annotations
@@ -174,11 +175,11 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     Each step's p-value, and the error a step raises, are those of
     ``regression``'s one-coefficient route, ``_white_test(
     *_coefficient_row(y, design[:, :p], 1, names, flavor), 1, reference)``,
-    on the step's leading slice of the design, and the same bits as
-    ``coefficient_test(fit_ols(...), 1)``, which forms every covariance
-    row.  Only the checks are hoisted: y, the intercept and
-    the focus are checked at the first step, and each later step checks
-    only its new column.
+    on the step's leading slice of the design, and, by the kernel's row
+    contract (see :mod:`impactreg.backend`), the same bits as
+    ``coefficient_test(fit_ols(...), 1)``.  Only the checks are hoisted:
+    y, the intercept and the focus are checked at the first step, and
+    each later step checks only its new column.
     """
     y = np.asarray(y, dtype=float)
     x_focus = np.asarray(x_focus, dtype=float)

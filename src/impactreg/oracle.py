@@ -37,6 +37,8 @@ class DiscreteJoint:
             raise DimensionMismatch("probs length does not match support")
         if support.shape[0] == 0:
             raise EmptySupport("empty support")
+        if not (np.isfinite(support).all() and np.isfinite(probs).all()):
+            raise InvalidConfig("support and probs must be finite")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise InvalidConfig("probs must be nonnegative and sum to 1")
         atoms = {tuple(row) for row in support}

@@ -11,8 +11,8 @@ takes them all, ``residualize`` none, and the one-coefficient route
 coefficient's.  The hierarchy's steps call the kernel directly, with
 their input checked once per hierarchy.  Every test, on any route, is
 decided by ``_white_test``, so the exact-fit and zero-SE rule exists
-once, and from the same bits: the kernel forms a row's variances alike
-whatever else it is asked for.
+once, and from the same bits: a row's variances do not depend on the
+other rows asked for (the row contract of :mod:`impactreg.backend`).
 """
 
 from __future__ import annotations

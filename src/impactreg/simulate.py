@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
@@ -101,10 +100,9 @@ class SimReport:
     mc_stderr_reject_hier: float
     mc_stderr_reject_full: float
     failed_replications: int
-    elapsed: float
 
-    def as_dict(self, include_elapsed=True):
-        d = {
+    def as_dict(self):
+        return {
             "config": self.config.as_dict(),
             "type1_hierarchical": self.type1_hierarchical,
             "type1_full": self.type1_full,
@@ -116,11 +114,6 @@ class SimReport:
             "mc_stderr_reject_full": self.mc_stderr_reject_full,
             "failed_replications": self.failed_replications,
         }
-        # elapsed is excluded from serialized reports so that identical
-        # (seed, config) runs are byte-identical regardless of timing
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
 
 
 # one generator per thread, reset by ``_rng`` for every stream it draws
@@ -237,7 +230,6 @@ def run_study(config: SimConfig, threads: int = 1) -> SimReport:
     """Run all replications and aggregate; deterministic given the seed."""
     if threads < 1:
         raise InvalidConfig(f"need threads >= 1, got {threads}")
-    start = time.perf_counter()
     reps = config.replications
     if threads > 1:
         chunks = np.array_split(np.arange(reps), min(threads * 4, reps))
@@ -278,7 +270,6 @@ def run_study(config: SimConfig, threads: int = 1) -> SimReport:
         mc_stderr_reject_hier=mc_se(final_hier),
         mc_stderr_reject_full=mc_se(rej_full),
         failed_replications=int(failed.sum()),
-        elapsed=time.perf_counter() - start,
     )
 
 

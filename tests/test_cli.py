@@ -26,6 +26,9 @@ def data_csv(tmp_path):
     return path
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def run(args):
     return main(args)
 
@@ -189,6 +192,19 @@ class TestAnalyze:
                     "--response", "y", "--focus", "x1", "--include-bivariate"])
         assert code == 2
         assert "requires --hierarchy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-1",
+                                       "1", "1.5"])
+    @pytest.mark.parametrize("hierarchy", [[], ["--hierarchy"]],
+                             ids=["estimates", "hierarchy"])
+    def test_alpha_outside_the_unit_interval_exit_2(self, tmp_path, capsys,
+                                                    alpha, hierarchy):
+        # checked with the other flags, before the data file is read
+        code = run(["analyze", "--data", str(tmp_path / "missing.csv"),
+                    "--response", "y", "--focus", "x1", f"--alpha={alpha}",
+                    *hierarchy])
+        assert code == 2
+        assert "--alpha must be in (0, 1)" in capsys.readouterr().err
 
     def test_collinear_adjustment_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -420,6 +436,17 @@ class TestOracleCheck:
             capsys.readouterr()
             assert run(["oracle-check", "--joint", str(path)]) == 2
             assert "support" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("joint", [
+        {"support": [[1, -1], [0, 0], [1, 1]], "probs": [NAN, 0.5, 0.5]},
+        {"support": [[1, -1], [0, NAN], [1, 1]], "probs": [1 / 3] * 3},
+        {"support": [[1, -1], [0, 0], [INF, 1]], "probs": [1 / 3] * 3},
+    ], ids=["nan-prob", "nan-support", "inf-support"])
+    def test_non_finite_joint_exit_2(self, tmp_path, capsys, joint):
+        path = tmp_path / "j.json"
+        path.write_text(json.dumps(joint))
+        assert run(["oracle-check", "--joint", str(path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_degenerate_joint_exit_3(self, tmp_path, capsys):
         joint = {"support": [[1, 0], [2, 0]], "probs": [0.5, 0.5]}

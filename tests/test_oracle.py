@@ -10,7 +10,7 @@ from impactreg import (DiscreteJoint, confounding_example_value,
                        population_theta, quadratic_slope_closed_form)
 from impactreg.oracle import _conditional_mean_y, exact_mod
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
-                              OutOfRange, SingularMoments)
+                              InvalidConfig, OutOfRange, SingularMoments)
 
 
 def uniform_joint(pairs):
@@ -250,6 +250,16 @@ class TestJointValidation:
             DiscreteJoint(support, np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             DiscreteJoint(support, np.array([-0.5, 1.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, bad):
+        support = np.array([[0., 0.], [1., 1.], [2., 0.]])
+        probs = np.full(3, 1 / 3)
+        with pytest.raises(InvalidConfig, match="finite"):
+            DiscreteJoint(support, np.array([bad, 0.5, 0.5]))
+        support[1, 1] = bad
+        with pytest.raises(InvalidConfig, match="finite"):
+            DiscreteJoint(support, probs)
 
     def test_duplicate_atoms(self):
         support = np.array([[0., 0.], [0., 0.]])

@@ -491,11 +491,10 @@ class TestOneBlasThread:
         p = problem[0].shape[1]
         first = backend.ols_sandwich(*problem)
         # the factorization's workspace query, then the call; Q'y, the
-        # solve for the coefficients, Q [0; c], then one solve for each
-        # column of Z and one Q [z; 0] each, on the minimal workspace
-        # that needs no query
-        fit = ["dormqr", "dtrtrs", "dormqr", *["dtrtrs"] * p,
-               *["dormqr"] * p]
+        # solve for the coefficients, Q [0; c], then for each row the
+        # solve for z and Q [z; 0], on the minimal workspace that needs
+        # no query
+        fit = ["dormqr", "dtrtrs", "dormqr", *["dtrtrs", "dormqr"] * p]
         assert [name for name, _ in seen] == ["dgeqp3", "dgeqp3", *fit]
         assert all(counts and set(counts) == {1} for _, counts in seen)
         assert set(blas_counts()) == {2}

@@ -36,6 +36,12 @@ spin beside it and double its CPU time.  Parallelism is the job of
 ``simulate``'s process pool.  Each call holds every loaded OpenBLAS that
 exports ``openblas_set_num_threads_local`` at one thread and restores the
 previous count on the way out; with any other BLAS it runs unchanged.
+That cap is what keeps the bits of wide fits: from 128 columns on,
+LAPACK's blocked factorization updates run through BLAS calls whose
+last bits follow the thread count, so where no loaded OpenBLAS exports
+that function (MKL, BLIS, an older OpenBLAS) a design of 128 or more
+columns may give different bits on machines with different core
+counts.
 The cap is depth-counted: only the outermost entry sets and restores the
 counts, and the calls nested in it set nothing.  It is entered once per
 chunk of replications by ``simulate._replicate_chunk`` (the serial study
@@ -145,13 +151,14 @@ def _factor(a):
     The optimal workspace is queried once per shape, then reused, as
     SciPy would query it on every call.  The query and the call both
     pass ``overwrite_a=1``: a is owned by the kernel, so neither copies
-    it (the query leaves it untouched).
+    it (the query leaves it untouched).  As in every LAPACK call here,
+    the arguments go by position (``lwork``, ``overwrite_a``): f2py
+    parses keywords at about the cost of a small solve.
     """
     lwork = _LWORK.get(a.shape)
     if lwork is None:
-        lwork = _LWORK[a.shape] = int(
-            dgeqp3(a, lwork=-1, overwrite_a=1)[-2][0])
-    factor, piv, tau, _, info = dgeqp3(a, lwork=lwork, overwrite_a=1)
+        lwork = _LWORK[a.shape] = int(dgeqp3(a, -1, 1)[-2][0])
+    factor, piv, tau, _, info = dgeqp3(a, lwork, 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgeqp3")
     return factor, piv, tau
@@ -166,8 +173,8 @@ def _apply_q(trans, factor, tau, c):
     reflectors than its block size (32) whatever the workspace, so an
     optimal one would buy nothing below 32 columns.
     """
-    c, _, info = dormqr("L", trans, factor, tau, c, c.shape[1],
-                        overwrite_c=1)
+    # by position: lwork, then overwrite_c=1
+    c, _, info = dormqr("L", trans, factor, tau, c, c.shape[1], 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dormqr")
     return c
@@ -179,9 +186,10 @@ def _solve(factor, b, trans):
     R is the upper triangle of the leading p rows of the n x p
     column-major ``factor``; ``dtrtrs`` solves the leading p rows of b
     and reads nothing else, so the Householder vectors below R's
-    diagonal stay where they are.
+    diagonal stay where they are.  By position: upper, ``trans``,
+    non-unit diagonal, lda = n, overwrite b.
     """
-    x, info = dtrtrs(factor, b, trans=trans, overwrite_b=1)
+    x, info = dtrtrs(factor, b, 0, trans, 0, factor.shape[0], 1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -237,37 +245,38 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         c = _apply_q("T", factor, tau, np.array(y, dtype=float)[:, None])
         c = _solve(factor, c, 0)
         coef = np.empty(p)
-        coef[piv] = c[:p, 0]
-        c[:p] = 0.0
+        coef.put(piv, c[:p, 0])
+        c[:p].fill(0.0)
         resid = _apply_q("N", factor, tau, c)[:, 0]
         if rows is None:
             rows = range(p)
         if not rows:
             return coef, resid, None, None, rank, piv
-        scale = float(resid @ resid) / (n - p) if n > p else 0.0
+        # x.dot(x) is x @ x, the same BLAS ddot, at half the call cost
+        scale = resid.dot(resid) / (n - p) if n > p else 0.0
         k = len(rows)
         classical = np.empty((k, k))
         sandwich = np.empty((k, k))
         Zt = np.empty((k, p))
-        # row i of At is a_i, solved and multiplied in its place through
-        # an (n, 1) column-major view
-        At = np.zeros((k, n))
+        # column i of A is a_i, solved and multiplied in its place; A.T
+        # is laid out as the (k, n) row-major stack of the a_i
+        A = np.zeros((n, k), order="F")
         position = piv.tolist().index
         for i, row in enumerate(rows):
             # R'z = e_j, j the row's pivot position, and a = diag(e) Q [z; 0]
-            a = At[i:i + 1].T
+            a = A[:, i:i + 1]
             a[position(row)] = 1.0
             a = _solve(factor, a, 1)
             Zt[i] = z = a[:p, 0]
-            classical[i, i] = (z @ z) * scale
+            classical[i, i] = z.dot(z) * scale
             a = _apply_q("N", factor, tau, a)[:, 0]
             a *= resid
-            sandwich[i, i] = a @ a
+            sandwich[i, i] = a.dot(a)
         if k > 1:
             # the off-diagonal entries of s^2 Z'Z and A'A
             off = ~np.eye(k, dtype=bool)
             classical[off] = (Zt @ Zt.T)[off] * scale
-            sandwich[off] = (At @ At.T)[off]
+            sandwich[off] = (A.T @ A)[off]
         if hc1:
             sandwich *= n / (n - p)
         return coef, resid, classical, sandwich, rank, piv

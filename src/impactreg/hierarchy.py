@@ -29,7 +29,7 @@ from . import backend
 from .dataset import Dataset
 from .errors import (DegenerateCovariate, DimensionMismatch, InvalidConfig,
                      NonFinite, RankDeficient)
-from .regression import _norm, _white_test
+from .regression import _norm, _white_statistic, two_sided_pvalue
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,16 @@ def order_indices(x_focus, candidates):
         return []
     # the checks and the correlations read one column-major copy of the
     # candidates: reductions down its contiguous columns run several
-    # times faster than down the rows of a row-major input, and it is
-    # laid out like the copy candidates[:, remaining] that NumPy's
-    # indexing returns
+    # times faster than down the rows of a row-major input
     centred = np.array(candidates, order="F")
-    # constancy is tested exactly: the std of a constant column whose
-    # mean does not round exactly is 1e-17..1e-13, not 0
-    if np.ptp(x_focus) == 0.0:
+    # constancy is tested exactly, as np.ptp tests it: the std of a
+    # constant column whose mean does not round exactly is 1e-17..1e-13,
+    # not 0
+    if np.subtract(np.maximum.reduce(x_focus),
+                   np.minimum.reduce(x_focus)) == 0.0:
         raise DegenerateCovariate("focus covariate is constant")
-    if np.any(np.ptp(centred, axis=0) == 0.0):
+    if (np.subtract(np.maximum.reduce(centred), np.minimum.reduce(centred))
+            == 0.0).any():
         raise DegenerateCovariate("a candidate covariate is constant")
     # the residualizations below call the kernel, which does not check
     # its input; with one candidate there is nothing to residualize
@@ -94,34 +95,44 @@ def order_indices(x_focus, candidates):
     # only spin, and their last bits would follow the core count.  The
     # cap is entered once, so the nested fits skip their save and restore.
     with backend._ONE_BLAS_THREAD:
-        # the candidates are centred and their norms taken once; each pass
-        # correlates the current focus residual with the remaining
-        # columns.  Each column is summed in the order the indexing copy
-        # sums it, so the correlations keep every bit of centring that
-        # copy.
-        centred -= centred.mean(axis=0)
+        # the candidates are centred and their norms taken once, each
+        # column summed down its contiguous storage as mean(axis=0) sums
+        # it.  The leading columns of the copy hold the remaining
+        # candidates in position order: a pick's column is closed up
+        # behind it, so each pass correlates the current focus residual
+        # with a leading slice, laid out as NumPy's copy
+        # centred[:, remaining] would be, and no column is copied out.
+        centred -= np.add.reduce(centred) / n
         norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
+        flat = centred.reshape(-1, order="F")
         # the picks so far, after an intercept column: each
         # residualization fits a leading slice of it
         design = np.empty((n, q + 1), order="F")
         design[:, 0] = 1.0
         remaining = list(range(q))
         order: list[int] = []
-        resid = x_focus - x_focus.mean()
+        resid = x_focus - np.add.reduce(x_focus) / n
         # a degenerate residual direction divides 0 by 0, and the nan is
         # handled below; the residualizations inside divide nothing, so
         # no warning of theirs is hidden
         with np.errstate(invalid="ignore", divide="ignore"):
-            while len(remaining) > 1:
+            while (r := len(remaining)) > 1:
                 v = resid - np.add.reduce(resid) / n
-                corr = (np.abs(centred[:, remaining].T @ v)
-                        / (math.sqrt(v @ v) * norms[remaining]))
+                corr = centred[:, :r].T @ v
+                np.abs(corr, out=corr)
+                corr /= math.sqrt(v @ v) * norms[:r]
                 # argmin with position-order tie-break; nan (degenerate
                 # residual direction) sorts last
-                corr = np.where(np.isnan(corr), np.inf, corr)
-                pick = remaining[int(corr.argmin())]
+                j = int(corr.argmin())
+                if math.isnan(corr[j]):
+                    corr[np.isnan(corr)] = np.inf
+                    j = int(corr.argmin())
+                pick = remaining.pop(j)
                 order.append(pick)
-                remaining.remove(pick)
+                # close up the pick's column and norm; the overlapping
+                # 1-d moves run front to back, as if through a copy
+                flat[j * n:(r - 1) * n] = flat[(j + 1) * n:r * n]
+                norms[j:r - 1] = norms[j + 1:r]
                 p = len(order) + 1
                 if n <= p:
                     # no row is left to explain the focus with
@@ -177,9 +188,11 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     *_coefficient_row(y, design[:, :p], 1, names, flavor), 1, reference)``,
     on the step's leading slice of the design, and, by the kernel's row
     contract (see :mod:`impactreg.backend`), the same bits as
-    ``coefficient_test(fit_ols(...), 1)``.  Only the checks are hoisted:
-    y, the intercept and the focus are checked at the first step, and
-    each later step checks only its new column.
+    ``coefficient_test(fit_ols(...), 1)``; the steps apply that route's
+    rule, ``_white_statistic``, without building its result object.
+    Only the checks are hoisted: y, the intercept and the focus are
+    checked at the first step, and each later step looks up its new
+    column's finiteness, taken for every column at once.
     """
     y = np.asarray(y, dtype=float)
     x_focus = np.asarray(x_focus, dtype=float)
@@ -211,14 +224,14 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
             if n <= p:
                 raise DimensionMismatch(f"need n > p, got n={n}, p={p}")
             if step == 0:
-                if not (np.isfinite(y).all()
-                        and np.isfinite(design[:, :p]).all()):
+                finite = np.isfinite(design).all(axis=0).tolist()
+                if not (np.isfinite(y).all() and all(finite[:p])):
                     raise NonFinite("non-finite entries in regression input")
                 if flavor not in ("HC0", "HC1"):
                     raise InvalidConfig(
                         f"unknown sandwich flavor {flavor!r}")
                 response_norm = _norm(y)
-            elif not np.isfinite(design[:, p - 1]).all():
+            elif not finite[p - 1]:
                 raise NonFinite("non-finite entries in regression input")
             coef, resid, classical, sandwich, rank, piv = \
                 backend.ols_sandwich(design[:, :p], y, flavor == "HC1",
@@ -227,9 +240,10 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
                 j = int(piv[rank])
                 raise RankDeficient(f"x{j}" if column_names is None
                                     else column_names[j])
-            pvalue = _white_test(float(coef[1]), float(sandwich[0, 0]),
-                                 float(classical[0, 0]), n - p, _norm(resid),
-                                 response_norm, 1, reference).p_value
+            pvalue = two_sided_pvalue(_white_statistic(
+                float(coef[1]), float(sandwich[0, 0]),
+                float(classical[0, 0]), n - p, _norm(resid), response_norm,
+                1)[1], n - p, reference)
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1

@@ -17,6 +17,22 @@ from .errors import (DegenerateCovariate, DimensionMismatch, EmptySupport,
                      SingularMoments)
 
 
+def _row_groups(x):
+    """Rows of the 2-d x sorted into groups of equal rows.
+
+    Returns ``(perm, starts)``: ``perm`` sorts the rows lexicographically
+    and stably, so equal rows (-0.0 and 0.0 being equal) sit together in
+    support order, and ``starts[i]`` says whether sorted row i opens a
+    group, i.e. differs from the row before it.
+    """
+    perm = np.lexsort(x.T)
+    x = x[perm]
+    starts = np.empty(x.shape[0], dtype=bool)
+    starts[:1] = True
+    np.any(x[1:] != x[:-1], axis=1, out=starts[1:])
+    return perm, starts
+
+
 @dataclass(frozen=True)
 class DiscreteJoint:
     """Finite-support joint distribution of (Y, X_1..X_m).
@@ -41,8 +57,7 @@ class DiscreteJoint:
             raise InvalidConfig("support and probs must be finite")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise InvalidConfig("probs must be nonnegative and sum to 1")
-        atoms = {tuple(row) for row in support}
-        if len(atoms) != support.shape[0]:
+        if not _row_groups(support)[1].all():
             raise InvalidConfig("support atoms must be distinct")
         support.setflags(write=False)
         probs.setflags(write=False)
@@ -90,12 +105,14 @@ def _conditional_mean_y(joint: DiscreteJoint, cols):
     group's sums add its atoms' terms in support order, from 0.0.
     """
     x = joint.x[:, cols]
-    _, first, inverse = np.unique(x, axis=0, return_index=True,
-                                  return_inverse=True)
+    perm, starts = _row_groups(x)
+    # a group's first atom opens it in the stable sort
+    first = perm[starts]
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    group = rank[inverse.reshape(-1)]
+    group = np.empty_like(perm)
+    group[perm] = rank[np.cumsum(starts) - 1]
     w = np.bincount(group, weights=joint.probs, minlength=order.size)
     wy = np.bincount(group, weights=joint.probs * joint.y,
                      minlength=order.size)

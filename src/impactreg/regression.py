@@ -10,9 +10,10 @@ takes them all, ``residualize`` none, and the one-coefficient route
 ``slope_identity_check`` and impact's tests) only the tested
 coefficient's.  The hierarchy's steps call the kernel directly, with
 their input checked once per hierarchy.  Every test, on any route, is
-decided by ``_white_test``, so the exact-fit and zero-SE rule exists
-once, and from the same bits: a row's variances do not depend on the
-other rows asked for (the row contract of :mod:`impactreg.backend`).
+decided by ``_white_statistic`` (through ``_white_test``, or directly in
+the steps), so the exact-fit and zero-SE rule exists once, and from the
+same bits: a row's variances do not depend on the other rows asked for
+(the row contract of :mod:`impactreg.backend`).
 """
 
 from __future__ import annotations
@@ -198,13 +199,13 @@ def _coefficient_row(y, X, index, column_names=None, flavor="HC0"):
             _norm(resid), _norm(y))
 
 
-def _white_test(estimate, variance, classical_variance, dof, resid_norm,
-                response_norm, index, reference):
-    """White's test of coefficient ``index`` from the scalars it reads.
+def _white_statistic(estimate, variance, classical_variance, dof,
+                     resid_norm, response_norm, index):
+    """White's standard error and statistic of coefficient ``index``.
 
     The one home of the exact-fit and zero-SE rule (see
     ``coefficient_test``); every route, the hierarchy's steps included,
-    decides its tests here.
+    decides its tests here.  Returns ``(std_error, statistic)``.
     """
     std_error = math.sqrt(max(variance, 0.0))
     if (resid_norm <= _EXACT_FIT_RTOL * response_norm
@@ -212,7 +213,15 @@ def _white_test(estimate, variance, classical_variance, dof, resid_norm,
         raise ZeroStdError(
             f"degenerate fit: robust standard error of coefficient {index} "
             f"is {std_error:.3e}")
-    statistic = estimate / std_error
+    return std_error, estimate / std_error
+
+
+def _white_test(estimate, variance, classical_variance, dof, resid_norm,
+                response_norm, index, reference):
+    """White's test of coefficient ``index`` from the scalars it reads."""
+    std_error, statistic = _white_statistic(
+        estimate, variance, classical_variance, dof, resid_norm,
+        response_norm, index)
     return CoefficientTest(
         estimate=estimate,
         std_error=std_error,

@@ -77,6 +77,17 @@ class SimConfig:
             raise InvalidConfig("need n > m + 1")
         if self.replications < 1:
             raise InvalidConfig("need at least one replication")
+        # a non-finite coefficient would fail every replication, after
+        # the whole study's cost
+        for name in ("beta", "gamma", "theta1"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise InvalidConfig(f"{name} must be a finite number, "
+                                    f"got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig("alpha must be in (0, 1)")
         if self.flavor not in ("HC0", "HC1"):
@@ -157,14 +168,19 @@ def generate_arrays(config: SimConfig, replication_index: int):
     xj = z[:, 1:m]                       # X_2 .. X_m
     eps = z[:, m]
     confounders = xj[:, :k]              # the k covariates tied to X_1
-    total = xj.sum(axis=1)
-    y = (config.theta1 * xt1 + total + (xj ** 2).sum(axis=1) + eps)
+    total = np.add.reduce(xj, axis=1)
+    # y = theta1 Xt_1 + sum X_j + sum X_j^2 + eps, added left to right in
+    # one buffer
+    y = config.theta1 * xt1
+    y += total
+    y += np.add.reduce(np.square(xj), axis=1)
+    y += eps
     if config.gamma != 0.0 and k >= 2:
         inter = np.zeros(n)
         for a in range(k):
             for b in range(a + 1, k):
                 inter += confounders[:, a] * confounders[:, b]
-        y = y + config.gamma * inter
+        y += config.gamma * inter
     # X_1 in Xt_1's place; with k = m - 1, as in the tables, the
     # confounders are all of X_2..X_m and their sum is already taken
     xt1 += config.beta * (total if k == m - 1 else confounders.sum(axis=1))
@@ -203,13 +219,16 @@ def _replicate(config: SimConfig, replication_index: int):
         # first step whose adjustment set contains all confounders
         # (candidate indices 0..k-1); only steps from there on are true
         # null hypotheses under theta1 = 0
-        last_conf_pos = max(perm.index(c) for c in range(config.k))
+        last_conf_pos = max(map(perm.index, range(config.k)))
         first_true_step = last_conf_pos + 1
         if config.include_bivariate:
             first_true_step += 1
         false_reject = rejected >= first_true_step
 
-        design = np.column_stack([np.ones(config.n), X])
+        # column-major, so the kernel's copy of it is one block
+        design = np.empty((config.n, config.m + 1), order="F")
+        design[:, 0] = 1.0
+        design[:, 1:] = X
         test = _white_test(*_coefficient_row(y, design, 1,
                                              flavor=config.flavor),
                            1, config.reference)

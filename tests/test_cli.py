@@ -8,9 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from impactreg import cli, write_csv
+from impactreg import cli, simulate, write_csv
 from impactreg.cli import figure_coefficients, main
-from impactreg.simulate import SimConfig, generate_dataset
+from impactreg.simulate import SimConfig, generate_arrays, generate_dataset
 
 
 def load_schema():
@@ -295,6 +295,26 @@ class TestSimulate:
         assert run(["simulate", "--m", "5", "--k", "4", "--n", "100",
                     "--reps", "2", "--seed", seed]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--beta", "inf"), ("--gamma", "inf"),
+        ("--gamma", "-inf"), ("--theta1", "nan"), ("--theta1", "-inf"),
+    ])
+    def test_non_finite_coefficient_exit_2_before_any_replication(
+            self, flag, value, monkeypatch, capsys):
+        # without the check, each replication failed on NonFinite and the
+        # study exited 2 only at its end
+        drawn = []
+
+        def generate(config, replication_index):
+            drawn.append(replication_index)
+            return generate_arrays(config, replication_index)
+
+        monkeypatch.setattr(simulate, "generate_arrays", generate)
+        assert run(["simulate", "--m", "3", "--k", "2", "--n", "50",
+                    "--reps", "3", f"{flag}={value}"]) == 2
+        assert drawn == []
+        assert flag[2:] in capsys.readouterr().err
 
     def test_non_integer_thread_env_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("IMPACTREG_THREADS", "two")

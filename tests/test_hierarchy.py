@@ -105,6 +105,19 @@ def test_ordering_matches_the_fit_ols_loop(problem):
     assert order_indices(x1, cand) == fit_ols_order(x1, cand)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_ordering_matches_the_fit_ols_loop_on_tall_data(seed):
+    # the passes correlate against leading slices of one compacted copy;
+    # the reference copies the remaining columns out on every pass.  A
+    # duplicated column makes exact ties, which read every bit.
+    rng = np.random.default_rng(seed)
+    cand = rng.standard_normal((20_000, 10))
+    cand[:, 7] = cand[:, 2]
+    cand[:, 8] = np.exp(0.5 * cand[:, 8])
+    x1 = cand[:, :3].sum(axis=1) + rng.standard_normal(20_000)
+    assert order_indices(x1, cand) == fit_ols_order(x1, cand)
+
+
 def step_loop(test):
     """A step loop that tests each leading slice of the design afresh.
 

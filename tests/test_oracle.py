@@ -266,6 +266,28 @@ class TestJointValidation:
         with pytest.raises(ValueError):
             DiscreteJoint(support, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_duplicates_are_those_of_a_tuple_set(self, seed):
+        # the reference is the set of Python tuples the check once built:
+        # rows equal under ==, so -0.0 and 0.0 are one atom
+        rng = np.random.default_rng(seed)
+        s, m = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+        support = rng.integers(-1, 2, size=(s, m + 1)) * 0.5
+        support[rng.random((s, m + 1)) < 0.2] *= -1.0  # signed zeros
+        if seed % 3 == 0:
+            support[:, 0] = np.arange(s)  # distinct, unless s == 1
+        probs = np.full(s, 1.0 / s)
+        if len({tuple(row) for row in support}) == s:
+            DiscreteJoint(support, probs)
+        else:
+            with pytest.raises(InvalidConfig, match="distinct"):
+                DiscreteJoint(support, probs)
+
+    def test_signed_zero_atoms_are_duplicates(self):
+        support = np.array([[1.0, -0.0], [2.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidConfig, match="distinct"):
+            DiscreteJoint(support, np.full(3, 1 / 3))
+
 
 class TestPopulationParams:
     def test_bundle_consistency(self):

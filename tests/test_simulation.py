@@ -29,6 +29,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["beta", "gamma", "theta1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1"])
+    def test_rejects_coefficients_that_are_not_finite(self, name, value):
+        # a non-finite coefficient fails every replication on NonFinite;
+        # the config says so before the study starts
+        with pytest.raises(InvalidConfig, match=name):
+            SimConfig(m=3, k=2, n=50, **{name: value})
+
     def test_large_replication_counts_accepted(self):
         SimConfig(replications=100_000)  # full-scale runs are configurable
 
@@ -278,16 +286,22 @@ class TestRunStudy:
         with pytest.raises(TypeError):
             run_study(SimConfig(n=50, replications=2, seed=15), threads=1)
 
-    @pytest.mark.parametrize("flavor, bivariate, digest", [
-        ("HC0", False, "147d02ba8594781f551fae9f3df3f140"
-                       "1d9b567cb478658fbcaffde4ac3fb1b6"),
-        ("HC1", False, "a34f044fd19f8584089cf5bbf9eed241"
-                       "a5413c4814588fd512db1e7a56356283"),
-        ("HC0", True, "608ec132f5e9b3b612a2f2fd78684438"
-                      "0e102438b6341962c4da4b6e669fea47"),
-    ], ids=["HC0", "HC1", "bivariate"])
-    def test_replications_keep_their_recorded_bits(self, flavor, bivariate,
-                                                   digest, monkeypatch):
+    @pytest.mark.parametrize("config, digest", [
+        ({"flavor": "HC0"}, "147d02ba8594781f551fae9f3df3f140"
+                            "1d9b567cb478658fbcaffde4ac3fb1b6"),
+        ({"flavor": "HC1"}, "a34f044fd19f8584089cf5bbf9eed241"
+                            "a5413c4814588fd512db1e7a56356283"),
+        ({"include_bivariate": True}, "608ec132f5e9b3b612a2f2fd78684438"
+                                      "0e102438b6341962c4da4b6e669fea47"),
+        # Table 1 at m=5
+        ({"m": 5, "k": 4, "beta": TABLE_BETA[5], "theta1": 0.0},
+         "c0ec73d41364564da848260b1180cf0265836011072970b68d88555c81112d71"),
+        # the longest loops: 48 ordering passes and steps up to p = 51
+        ({"m": 50, "k": 49, "beta": TABLE_BETA[50], "replications": 5},
+         "c68089110d26e3171509712fb259768719abb536a700bf455d482caf5aa0af2b"),
+    ], ids=["HC0", "HC1", "bivariate", "table1-m5", "m50"])
+    def test_replications_keep_their_recorded_bits(self, config, digest,
+                                                   monkeypatch):
         # a report holds means of 0/1 outcomes, which a change of the data
         # that keeps each replication's decisions leaves alone; this
         # digest reads each replication's ordering, step p-values and
@@ -314,9 +328,10 @@ class TestRunStudy:
         monkeypatch.setattr(simulate, "order_indices", ordering)
         monkeypatch.setattr(simulate, "hierarchy_pvalues", steps)
         monkeypatch.setattr(simulate, "_white_test", full_model)
-        run_study(SimConfig(m=10, k=9, beta=TABLE_BETA[10], theta1=0.4,
-                            n=500, replications=100, seed=7, flavor=flavor,
-                            include_bivariate=bivariate))
+        settings = {"m": 10, "k": 9, "beta": TABLE_BETA[10], "theta1": 0.4,
+                    "n": 500, "replications": 100, "seed": 7}
+        settings.update(config)
+        run_study(SimConfig(**settings))
         assert record.hexdigest() == digest
 
     def test_table_beta_presets(self):

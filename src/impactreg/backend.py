@@ -12,13 +12,11 @@ builds the Huber-White matrix and applies the HC1 factor n/(n-p).
 
 Callers name the covariance rows they read (``rows``).
 ``regression.fit_ols``, the public route, takes every row.  The
-one-coefficient route of ``regression`` (simulate's full-model
-comparator, ``slope_identity_check``, impact's slope and partial tests)
-and the steps of ``hierarchy.hierarchy_pvalues`` take the focus row
-alone; the steps call the kernel directly, with their input checked once
-per hierarchy rather than once per step.  The residualizations of
-``hierarchy.order_indices`` and ``regression.residualize`` take no row
-and read only the residuals.
+one-coefficient test of ``regression`` (the steps of
+``hierarchy.hierarchy_pvalues``, simulate's full-model comparator,
+``slope_identity_check``, impact's slope and partial tests) takes the
+focus row alone.  The residualizations of ``hierarchy.order_indices``
+and ``regression.residualize`` take no row and read only the residuals.
 
 The row contract, which the other modules rely on: the coefficients,
 residuals, rank and pivots are the same bits for any ``rows``, and so
@@ -205,9 +203,9 @@ def ols_sandwich(X, y, hc1=False, rows=None):
     ----------
     X : (n, p) design matrix (leading intercept column by convention),
         in any memory layout.
-    y : (n,) response.  X and y must be finite; the callers
-        (``regression``'s fit helper and the two loops of ``hierarchy``)
-        check that, so the kernel does not.
+    y : (n,) response.  X and y must be finite; the callers check
+        that, by the checking rule of :mod:`impactreg.regression`, so
+        the kernel does not.
     hc1 : scale the sandwich by n/(n-p).
     rows : the coefficients whose covariance rows are read, or ``None``
         for all of them.  The covariances returned are the

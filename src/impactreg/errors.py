@@ -26,7 +26,15 @@ class RankDeficient(ImpactregError):
 
 
 class ZeroStdError(ImpactregError):
-    pass
+    """A coefficient's robust test is degenerate.
+
+    The coefficient itself is still estimated; it is stored in
+    ``estimate``.
+    """
+
+    def __init__(self, message, estimate=None):
+        self.estimate = estimate
+        super().__init__(message)
 
 
 class InvariantViolation(ImpactregError):

@@ -7,13 +7,13 @@ k tests the focus coefficient, with White's robust test, in the
 regression of y on the focus plus the first k ordered covariates;
 testing stops at the first non-rejection.
 
-Both loops call the least-squares kernel directly, on leading column
-slices of one preallocated column-major design, so the kernel's copy of
-each slice is one contiguous block, and ask it only for what they read:
-the ordering's residualizations ask for no covariance row (``rows=()``),
-and the steps ask for the focus row alone (``rows=(1,)``), check their
-input once per hierarchy instead of once per fit, then test the focus
-with ``regression``'s own rule.  By the kernel's row contract (see
+Each function checks its whole input once, by the checking rule of
+:mod:`impactreg.regression`, before any work.  Both loops fit leading
+column slices of one preallocated column-major design, so the kernel's
+copy of each slice is one contiguous block, and ask only for what they
+read: the ordering's residualizations call the kernel for no covariance
+row (``rows=()``), and each step is ``regression``'s one-coefficient
+test of the focus (``rows=(1,)``).  By the kernel's row contract (see
 :mod:`impactreg.backend`), the ordering and the step p-values keep the
 bits of the ``fit_ols`` route.
 """
@@ -27,9 +27,8 @@ import numpy as np
 
 from . import backend
 from .dataset import Dataset
-from .errors import (DegenerateCovariate, DimensionMismatch, InvalidConfig,
-                     NonFinite, RankDeficient)
-from .regression import _norm, _white_statistic, two_sided_pvalue
+from .errors import DegenerateCovariate, DimensionMismatch, InvalidConfig
+from .regression import _focus_test, _norm, _validate
 
 
 @dataclass(frozen=True)
@@ -61,20 +60,14 @@ def order_indices(x_focus, candidates):
     are broken by the smallest column position.  If a residualization
     collapses, the remaining candidates are appended in position order.
     """
-    x_focus = np.asarray(x_focus, dtype=float)
     candidates = np.asarray(candidates, dtype=float)
-    if x_focus.ndim != 1 or candidates.ndim != 2:
-        raise DimensionMismatch("x_focus must be 1-d and candidates 2-d")
-    n, q = candidates.shape
-    if x_focus.shape[0] != n:
-        raise DimensionMismatch(
-            f"candidates have {n} rows but x_focus has {x_focus.shape[0]}")
-    if q == 0:
-        return []
     # the checks and the correlations read one column-major copy of the
     # candidates: reductions down its contiguous columns run several
     # times faster than down the rows of a row-major input
-    centred = np.array(candidates, order="F")
+    x_focus, centred, _ = _validate(x_focus, np.array(candidates, order="F"))
+    n, q = centred.shape
+    if q == 0:
+        return []
     # constancy is tested exactly, as np.ptp tests it: the std of a
     # constant column whose mean does not round exactly is 1e-17..1e-13,
     # not 0
@@ -84,11 +77,8 @@ def order_indices(x_focus, candidates):
     if (np.subtract(np.maximum.reduce(centred), np.minimum.reduce(centred))
             == 0.0).any():
         raise DegenerateCovariate("a candidate covariate is constant")
-    # the residualizations below call the kernel, which does not check
-    # its input; with one candidate there is nothing to residualize
-    if q > 1 and not (np.isfinite(x_focus).all()
-                      and np.isfinite(centred).all()):
-        raise NonFinite("non-finite entries in regression input")
+    if q == 1:
+        return [0]
 
     # one BLAS thread, as in the kernel (see backend): on tall data the
     # correlations' matmuls would otherwise share out work to threads that
@@ -184,66 +174,39 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     (``x0``, ``x1``, ...).
 
     Each step's p-value, and the error a step raises, are those of
-    ``regression``'s one-coefficient route, ``_white_test(
-    *_coefficient_row(y, design[:, :p], 1, names, flavor), 1, reference)``,
-    on the step's leading slice of the design, and, by the kernel's row
-    contract (see :mod:`impactreg.backend`), the same bits as
-    ``coefficient_test(fit_ols(...), 1)``; the steps apply that route's
-    rule, ``_white_statistic``, without building its result object.
-    Only the checks are hoisted: y, the intercept and the focus are
-    checked at the first step, and each later step looks up its new
-    column's finiteness, taken for every column at once.
+    ``regression``'s one-coefficient test, ``_focus_test``, on the step's
+    leading slice of the design, and so, by the kernel's row contract
+    (see :mod:`impactreg.backend`), the same bits as
+    ``coefficient_test(fit_ols(...), 1)``.  The whole input is checked
+    up front, by the checking rule of :mod:`impactreg.regression`, so a
+    non-finite column raises ``NonFinite`` even where the steps would
+    stop before it; only ``n > p`` is left to each step.
     """
-    y = np.asarray(y, dtype=float)
     x_focus = np.asarray(x_focus, dtype=float)
     ordered = np.asarray(ordered, dtype=float)
-    if y.ndim != 1 or x_focus.ndim != 1 or ordered.ndim != 2:
+    if (x_focus.ndim != 1 or ordered.ndim != 2
+            or x_focus.shape[0] != ordered.shape[0]):
         raise DimensionMismatch(
-            "y and x_focus must be 1-d and the ordered candidates 2-d")
-    n = y.shape[0]
-    q = ordered.shape[1]
-    if x_focus.shape[0] != n or ordered.shape[0] != n:
-        raise DimensionMismatch(
-            f"y has {n} rows but x_focus has {x_focus.shape[0]} and the "
-            f"ordered candidates {ordered.shape[0]}")
-    steps = q + 1 if include_bivariate else q
-    pvalues: list = [None] * steps
-    rejected = 0
+            "x_focus must be 1-d and the ordered candidates 2-d, with as "
+            "many rows")
+    n, q = ordered.shape
     # every step fits a leading slice of one design [1, x_focus, ordered]
     design = np.empty((n, q + 2), order="F")
     design[:, 0] = 1.0
     design[:, 1] = x_focus
     design[:, 2:] = ordered
-    if column_names is not None and len(column_names) != q + 2:
-        raise DimensionMismatch("column_names length does not match X")
+    y, design, column_names = _validate(y, design, flavor, column_names)
+    response_norm = _norm(y)
+    steps = q + 1 if include_bivariate else q
+    pvalues: list = [None] * steps
+    rejected = 0
     first = 2 if include_bivariate else 3
     # one cap for all the steps' fits (see backend)
     with backend._ONE_BLAS_THREAD:
         for step in range(steps):
-            p = first + step
-            if n <= p:
-                raise DimensionMismatch(f"need n > p, got n={n}, p={p}")
-            if step == 0:
-                finite = np.isfinite(design).all(axis=0).tolist()
-                if not (np.isfinite(y).all() and all(finite[:p])):
-                    raise NonFinite("non-finite entries in regression input")
-                if flavor not in ("HC0", "HC1"):
-                    raise InvalidConfig(
-                        f"unknown sandwich flavor {flavor!r}")
-                response_norm = _norm(y)
-            elif not finite[p - 1]:
-                raise NonFinite("non-finite entries in regression input")
-            coef, resid, classical, sandwich, rank, piv = \
-                backend.ols_sandwich(design[:, :p], y, flavor == "HC1",
-                                     (1,))
-            if rank < p:
-                j = int(piv[rank])
-                raise RankDeficient(f"x{j}" if column_names is None
-                                    else column_names[j])
-            pvalue = two_sided_pvalue(_white_statistic(
-                float(coef[1]), float(sandwich[0, 0]),
-                float(classical[0, 0]), n - p, _norm(resid), response_norm,
-                1)[1], n - p, reference)
+            pvalue = _focus_test(y, design[:, :first + step], 1,
+                                 column_names, flavor, reference,
+                                 response_norm).p_value
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1

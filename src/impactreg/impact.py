@@ -15,8 +15,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (DegenerateCovariate, DimensionMismatch,
                      InvariantViolation, ZeroStdError)
-from .regression import (CoefficientTest, _coefficient_row, _white_test,
-                         residualize)
+from .regression import CoefficientTest, _coefficient_test, residualize
 
 
 def cov_n(a, b):
@@ -86,9 +85,9 @@ def _check_spread(x, what="covariate"):
 
 def _slope_test(y, x, flavor="HC0", reference="student_t"):
     X = np.column_stack([np.ones(len(x)), x])
-    row = _coefficient_row(y, X, 1, ("intercept", "x"), flavor)
     try:
-        return _white_test(*row, 1, reference)
+        return _coefficient_test(y, X, 1, ("intercept", "x"), flavor,
+                                 reference)
     except ZeroStdError:
         # exact fit: the slope test is degenerate, report the value alone
         return None
@@ -127,12 +126,13 @@ def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
     sx = _check_spread(x_res, f"residualized {focus!r}")
     X = np.column_stack([np.ones(data.n), data.column(focus),
                          data.columns(adjust)])
-    row = _coefficient_row(y, X, 1, ("intercept", focus, *adjust), flavor)
     try:
-        test = _white_test(*row, 1, reference)
-    except ZeroStdError:
-        test = None
-    return y, x_res, sx, row[0], test
+        test = _coefficient_test(y, X, 1, ("intercept", focus, *adjust),
+                                 flavor, reference)
+    except ZeroStdError as exc:
+        # an exact fit: the test is degenerate, the coefficient is not
+        return y, x_res, sx, exc.estimate, None
+    return y, x_res, sx, test.estimate, test
 
 
 def partial_linear_mean_impact(y_col, focus, adjust, data: Dataset,

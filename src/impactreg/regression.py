@@ -1,19 +1,31 @@
 """Least-squares fitting with classical and Huber-White sandwich covariance.
 
 The computational substrate for the impact estimators, the hierarchical
-testing procedure and the simulation harness.  Every fit of this module
-goes through one validated helper, ``_fit``, which checks the input and
-calls the column-pivoted QR kernel of :mod:`impactreg.backend` once,
-asking it only for the covariance rows its caller reads: ``fit_ols``
-takes them all, ``residualize`` none, and the one-coefficient route
-``_coefficient_row`` (the full-model comparator of ``simulate``,
-``slope_identity_check`` and impact's tests) only the tested
-coefficient's.  The hierarchy's steps call the kernel directly, with
-their input checked once per hierarchy.  Every test, on any route, is
-decided by ``_white_statistic`` (through ``_white_test``, or directly in
-the steps), so the exact-fit and zero-SE rule exists once, and from the
-same bits: a row's variances do not depend on the other rows asked for
-(the row contract of :mod:`impactreg.backend`).
+testing procedure and the simulation harness.
+
+The checking rule.  The least-squares kernel of :mod:`impactreg.backend`
+checks nothing, so every input from outside the package passes
+``_validate`` once before any work: y is 1-d and X 2-d with y's rows,
+both finite, the sandwich flavor is HC0 or HC1 and the column names, if
+given, name every column of X.  ``fit_ols``, ``residualize``, the
+one-coefficient route ``_coefficient_test`` (``slope_identity_check``,
+impact's tests), ``hierarchy.order_indices`` and
+``hierarchy.hierarchy_pvalues`` each call it once, on their whole input.
+Only data the package generated itself skips it: ``simulate``'s
+full-model comparator, whose data are finite by construction once
+``SimConfig`` has bounded the coefficients.  The row count is the one
+rule left to each fit, ``n > p`` at the fit's own width, so a hierarchy
+can stop early on a short sample before p reaches n.
+
+Every fit then goes through ``_fit``, which calls the column-pivoted QR
+kernel once, asking it only for the covariance rows its caller reads:
+``fit_ols`` takes them all, ``residualize`` none, and ``_focus_test``,
+the one home of the test of a single coefficient (the hierarchy's
+steps, the comparator, ``_coefficient_test``), only the tested
+coefficient's.  Every test, on any route, is decided by
+``_white_test``, so the exact-fit and zero-SE rule exists once,
+and from the same bits: a row's variances do not depend on the other
+rows asked for (the row contract of :mod:`impactreg.backend`).
 """
 
 from __future__ import annotations
@@ -94,7 +106,13 @@ def two_sided_pvalue(statistic, dof, reference="student_t"):
     raise InvalidConfig(f"unknown reference {reference!r}")
 
 
-def _validate(y, X):
+def _validate(y, X, flavor="HC0", column_names=None):
+    """The checking rule of the module docstring, on y, X, the flavor
+    and the names.
+
+    Returns ``(y, X, column_names)``: y and X as float arrays and the
+    names as a tuple, by default ``x0``, ``x1``, ...
+    """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if y.ndim != 1 or X.ndim != 2:
@@ -102,12 +120,16 @@ def _validate(y, X):
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch(
             f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    if X.shape[0] <= X.shape[1]:
-        raise DimensionMismatch(
-            f"need n > p, got n={X.shape[0]}, p={X.shape[1]}")
     if not (np.isfinite(y).all() and np.isfinite(X).all()):
         raise NonFinite("non-finite entries in regression input")
-    return y, X
+    if flavor not in ("HC0", "HC1"):
+        raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
+    if column_names is None:
+        return y, X, _default_names(X.shape[1])
+    column_names = tuple(column_names)
+    if len(column_names) != X.shape[1]:
+        raise DimensionMismatch("column_names length does not match X")
+    return y, X, column_names
 
 
 @functools.cache
@@ -116,29 +138,22 @@ def _default_names(p):
 
 
 def _fit(y, X, column_names, flavor, rows):
-    """The validated kernel call behind every fit of this module.
+    """The kernel call behind every fit, on input that passed ``_validate``.
 
-    Checks y, X, the flavor and the names, calls ``backend.ols_sandwich``
-    once with ``rows`` (the covariance rows read), and raises
-    ``RankDeficient`` naming the dependent column.  X is passed on in its
-    own layout: the kernel makes the one column-major copy.  Returns
-    ``(y, column_names, coef, resid, classical, sandwich)``.
+    Checks n > p, calls ``backend.ols_sandwich`` once with ``rows`` (the
+    covariance rows read), and raises ``RankDeficient`` naming the
+    dependent column.  X is passed on in its own layout: the kernel makes
+    the one column-major copy.  Returns
+    ``(coef, resid, classical, sandwich)``.
     """
-    y, X = _validate(y, X)
-    p = X.shape[1]
-    if flavor not in ("HC0", "HC1"):
-        raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
-    if column_names is None:
-        column_names = _default_names(p)
-    else:
-        column_names = tuple(column_names)
-        if len(column_names) != p:
-            raise DimensionMismatch("column_names length does not match X")
+    n, p = X.shape
+    if n <= p:
+        raise DimensionMismatch(f"need n > p, got n={n}, p={p}")
     coef, resid, classical, sandwich, rank, piv = backend.ols_sandwich(
         X, y, flavor == "HC1", rows)
     if rank < p:
         raise RankDeficient(column_names[int(piv[rank])])
-    return y, column_names, coef, resid, classical, sandwich
+    return coef, resid, classical, sandwich
 
 
 def fit_ols(y, X, column_names=None, flavor="HC0"):
@@ -147,8 +162,8 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
     Raises ``RankDeficient`` naming the dependent column when X is not of
     full column rank at relative pivot tolerance ``backend.RANK_TOL``.
     """
-    y, column_names, coef, resid, classical, sandwich = _fit(
-        y, X, column_names, flavor, None)
+    y, X, column_names = _validate(y, X, flavor, column_names)
+    coef, resid, classical, sandwich = _fit(y, X, column_names, flavor, None)
     return FitResult(
         column_names=column_names,
         coefficients=coef,
@@ -183,45 +198,48 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
                        reference)
 
 
-def _coefficient_row(y, X, index, column_names=None, flavor="HC0"):
-    """What the test of one coefficient reads from a validated fit.
+def _focus_test(y, X, index, column_names, flavor, reference,
+                response_norm):
+    """White's test of coefficient ``index``, on input that passed
+    ``_validate``.
 
-    The fit is ``fit_ols(y, X, column_names, flavor)``'s, with the same
-    checks and errors, but the kernel forms only coefficient ``index``'s
-    covariance row, with the same bits as ``fit_ols``'s.  Returns
-    ``_white_test``'s leading arguments:
-    ``(estimate, variance, classical variance, dof, ||e||, ||y||)``.
+    The one home of the test of a single coefficient: the kernel forms
+    only that coefficient's covariance row, with the same bits as
+    ``fit_ols``'s, so the result, or the error raised, is that of
+    ``coefficient_test(fit_ols(y, X, column_names, flavor), index,
+    reference)``.  ``response_norm`` is ||y||, taken once by a caller
+    that tests several designs on one y.
     """
-    y, _, coef, resid, classical, sandwich = _fit(y, X, column_names,
-                                                  flavor, (index,))
-    return (float(coef[index]), float(sandwich[0, 0]),
-            float(classical[0, 0]), resid.shape[0] - coef.shape[0],
-            _norm(resid), _norm(y))
+    coef, resid, classical, sandwich = _fit(y, X, column_names, flavor,
+                                            (index,))
+    return _white_test(float(coef[index]), float(sandwich[0, 0]),
+                       float(classical[0, 0]),
+                       resid.shape[0] - coef.shape[0], _norm(resid),
+                       response_norm, index, reference)
 
 
-def _white_statistic(estimate, variance, classical_variance, dof,
-                     resid_norm, response_norm, index):
-    """White's standard error and statistic of coefficient ``index``.
+def _coefficient_test(y, X, index, column_names=None, flavor="HC0",
+                      reference="student_t"):
+    """``_focus_test`` on input from outside the package, checked first."""
+    y, X, column_names = _validate(y, X, flavor, column_names)
+    return _focus_test(y, X, index, column_names, flavor, reference,
+                       _norm(y))
+
+
+def _white_test(estimate, variance, classical_variance, dof, resid_norm,
+                response_norm, index, reference):
+    """White's test of coefficient ``index`` from the scalars it reads.
 
     The one home of the exact-fit and zero-SE rule (see
-    ``coefficient_test``); every route, the hierarchy's steps included,
-    decides its tests here.  Returns ``(std_error, statistic)``.
+    ``coefficient_test``): every route decides its tests here.
     """
     std_error = math.sqrt(max(variance, 0.0))
     if (resid_norm <= _EXACT_FIT_RTOL * response_norm
             or variance <= _EXACT_FIT_RTOL ** 2 * (dof * classical_variance)):
         raise ZeroStdError(
             f"degenerate fit: robust standard error of coefficient {index} "
-            f"is {std_error:.3e}")
-    return std_error, estimate / std_error
-
-
-def _white_test(estimate, variance, classical_variance, dof, resid_norm,
-                response_norm, index, reference):
-    """White's test of coefficient ``index`` from the scalars it reads."""
-    std_error, statistic = _white_statistic(
-        estimate, variance, classical_variance, dof, resid_norm,
-        response_norm, index)
+            f"is {std_error:.3e}", estimate)
+    statistic = estimate / std_error
     return CoefficientTest(
         estimate=estimate,
         std_error=std_error,
@@ -242,6 +260,5 @@ def residualize(target_column: str, on_columns, data: Dataset):
     if not on_columns:
         return target - target.mean()
     X = np.column_stack([np.ones(data.n), data.columns(on_columns)])
-    _, _, _, resid, _, _ = _fit(target, X, ("intercept", *on_columns),
-                                "HC0", ())
-    return resid
+    checked = _validate(target, X, "HC0", ("intercept", *on_columns))
+    return _fit(*checked, "HC0", ())[1]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
@@ -28,10 +29,18 @@ from . import backend
 from .dataset import Dataset
 from .errors import ImpactregError, InvalidConfig
 from .hierarchy import hierarchy_pvalues, order_indices
-from .regression import _coefficient_row, _white_test
+from .regression import (_coefficient_test, _default_names, _focus_test,
+                         _norm)
 
 # beta per m used in the tables (R^2_x about 0.8 at k = m - 1)
 TABLE_BETA = {5: 1.00, 8: 0.75, 10: 0.65, 20: 0.45, 50: 0.30}
+
+# the largest magnitude of a standard normal draw of NumPy's ziggurat:
+# below its last layer, at r = 3.6541528853610088, draws are less than
+# r; the tail draws r - ln(1 - u) / r from a u in [0, 1 - 2^-53], so
+# at most r + 53 ln 2 / r, about 13.708
+_ZIGGURAT_R = 3.6541528853610088
+_MAX_DRAW = _ZIGGURAT_R + 53 * math.log(2) / _ZIGGURAT_R
 
 
 def _check_seed(seed):
@@ -54,6 +63,18 @@ def _check_seed(seed):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo study of the quadratic-confounder design.
+
+    The coefficients are bounded so that the generated data cannot
+    overflow: with every draw at most Z = 13.708 in magnitude (see
+    ``_MAX_DRAW``), the focus is at most Z (1 + |beta| k) and y at most
+    Z (|theta1| + m) + Z^2 (m - 1 + |gamma| k (k - 1) / 2), and both
+    must be at most sqrt(DBL_MAX / n), so that n times the square of
+    either, the largest sum of squares a fit or the ordering takes, is
+    finite.  A larger magnitude raises ``InvalidConfig``, before any
+    replication runs.
+    """
+
     m: int = 5
     k: int = 4
     beta: float = 1.0
@@ -88,6 +109,21 @@ class SimConfig:
             if not finite:
                 raise InvalidConfig(f"{name} must be a finite number, "
                                     f"got {value!r}")
+        # the bounds of the class docstring; y's is reported under the
+        # coefficient with the larger share of it
+        z, m, k = _MAX_DRAW, self.m, self.k
+        limit = math.sqrt(sys.float_info.max / self.n)
+        bounds = {"beta": z * (1.0 + abs(self.beta) * k)}
+        y_shares = {"theta1": z * abs(self.theta1),
+                    "gamma": k * (k - 1) // 2 * abs(self.gamma) * z * z}
+        y_bound = z * m + z * z * (m - 1) + sum(y_shares.values())
+        bounds[max(y_shares, key=y_shares.get)] = y_bound
+        for name, bound in bounds.items():
+            if bound > limit:
+                raise InvalidConfig(
+                    f"{name} is too large for n = {self.n}: generated "
+                    f"values may reach {bound:.3g}, and n times their "
+                    f"square overflows")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig("alpha must be in (0, 1)")
         if self.flavor not in ("HC0", "HC1"):
@@ -225,13 +261,14 @@ def _replicate(config: SimConfig, replication_index: int):
             first_true_step += 1
         false_reject = rejected >= first_true_step
 
-        # column-major, so the kernel's copy of it is one block
+        # column-major, so the kernel's copy of it is one block.  The
+        # generated data are finite by construction (see SimConfig), so
+        # they skip regression's input check
         design = np.empty((config.n, config.m + 1), order="F")
         design[:, 0] = 1.0
         design[:, 1:] = X
-        test = _white_test(*_coefficient_row(y, design, 1,
-                                             flavor=config.flavor),
-                           1, config.reference)
+        test = _focus_test(y, design, 1, _default_names(config.m + 1),
+                           config.flavor, config.reference, _norm(y))
         reject_full = test.p_value <= config.alpha
         return false_reject, confounders, final_reject, reject_full, False
     except (ImpactregError, np.linalg.LinAlgError):
@@ -336,6 +373,6 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
         raise InvalidConfig(f"unknown model {model!r}")
 
     X = np.column_stack([np.ones(n), x1, x2])
-    test = _white_test(*_coefficient_row(y, X, 1), 1, "student_t")
+    test = _coefficient_test(y, X, 1)
     return SlopeIdentity(estimate=test.estimate, target=target,
                          std_error=test.std_error)

@@ -299,11 +299,14 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "nan"), ("--beta", "inf"), ("--gamma", "inf"),
         ("--gamma", "-inf"), ("--theta1", "nan"), ("--theta1", "-inf"),
+        ("--beta", "1e308"), ("--beta", "1e200"), ("--gamma", "1e200"),
+        ("--theta1", "-1e200"),
     ])
     def test_non_finite_coefficient_exit_2_before_any_replication(
             self, flag, value, monkeypatch, capsys):
-        # without the check, each replication failed on NonFinite and the
-        # study exited 2 only at its end
+        # without the check, each replication failed on NonFinite (after
+        # an overflow, for the finite ones) and the study exited 2 only
+        # at its end
         drawn = []
 
         def generate(config, replication_index):

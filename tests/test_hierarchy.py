@@ -9,9 +9,9 @@ from impactreg import (backend, fixed_sequence_test, order_covariates,
                        run_hierarchy, fit_ols, coefficient_test)
 from impactreg.dataset import Dataset
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
-                              ImpactregError, RankDeficient)
+                              ImpactregError, NonFinite, RankDeficient)
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
-from impactreg.regression import _coefficient_row, _white_test
+from impactreg.regression import _coefficient_test, _validate
 
 
 def brute_force_order(x_focus, candidates):
@@ -121,14 +121,15 @@ def test_ordering_matches_the_fit_ols_loop_on_tall_data(seed):
 def step_loop(test):
     """A step loop that tests each leading slice of the design afresh.
 
-    ``test(y, X, names, flavor, reference)`` returns a step's p-value;
-    the loop checks nothing itself, so every check is the test's, made
-    at every step.
+    ``test(y, X, names, flavor, reference)`` returns a step's p-value.
+    The loop checks the whole design up front, as ``hierarchy_pvalues``
+    does, and then every check is the test's, made at every step.
     """
     def loop(y, x_focus, ordered, alpha, include_bivariate, flavor,
              reference, column_names):
         n, q = ordered.shape
         design = np.column_stack([np.ones(n), x_focus, ordered])
+        _validate(y, design, flavor, column_names)
         steps = q + 1 if include_bivariate else q
         first = 2 if include_bivariate else 3
         pvalues = [None] * steps
@@ -147,8 +148,9 @@ def step_loop(test):
 
 
 # the validated one-coefficient route, which forms only the focus row
-row_steps = step_loop(lambda y, X, names, flavor, reference: _white_test(
-    *_coefficient_row(y, X, 1, names, flavor), 1, reference).p_value)
+row_steps = step_loop(lambda y, X, names, flavor, reference:
+                      _coefficient_test(y, X, 1, names, flavor,
+                                        reference).p_value)
 # the public route, which forms every covariance row
 fit_ols_steps = step_loop(lambda y, X, names, flavor, reference:
                           coefficient_test(fit_ols(y, X, names, flavor), 1,
@@ -203,7 +205,7 @@ def test_step_pvalues_match_the_fit_ols_loop(problem, data):
     elif bad == "focus":
         x1[row] = value
     elif bad == "candidate":
-        # NonFinite only once a step adjusts for this column
+        # NonFinite up front, even where the steps stop before it
         ordered[row, data.draw(st.integers(0, q - 1))] = value
     # hierarchy_pvalues's positional order: alpha, include_bivariate,
     # flavor, reference, column_names
@@ -457,6 +459,33 @@ class TestRowCounts:
                 with pytest.raises(DimensionMismatch):
                     hierarchy_pvalues(*args, alpha=0.05,
                                       include_bivariate=bivariate)
+
+
+class TestNonFinite:
+    """A non-finite entry anywhere in the input raises ``NonFinite``."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["focus", "candidate"])
+    def test_ordering_with_one_candidate(self, value, where):
+        # with nothing to residualize, the ordering used to skip the
+        # check and return [0]
+        y, x1, cand = TestRowCounts.problem(q=1)
+        (x1 if where == "focus" else cand[:, 0])[4] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite):
+                order_indices(x1, cand)
+
+    def test_steps_check_columns_they_never_reach(self):
+        # the first step does not reject, so no step adjusts for the last
+        # column; its nan is still an error
+        rng = np.random.default_rng(11)
+        _, x1, cand = TestRowCounts.problem()
+        y = rng.standard_normal(x1.shape[0])
+        assert hierarchy_pvalues(y, x1, cand, 0.05)[1] == 0
+        cand[5, 2] = np.nan
+        with pytest.raises(NonFinite):
+            hierarchy_pvalues(y, x1, cand, 0.05)
 
 
 def test_kernel_reads_column_major_slices(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ from impactreg import SimConfig, generate_dataset, run_study, \
 from impactreg import backend, simulate
 from impactreg.errors import InvalidConfig
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
-from impactreg.regression import _white_test
+from impactreg.regression import _focus_test
 from impactreg.simulate import TABLE_BETA, generate_arrays
 
 
@@ -36,6 +37,34 @@ class TestConfigValidation:
         # the config says so before the study starts
         with pytest.raises(InvalidConfig, match=name):
             SimConfig(m=3, k=2, n=50, **{name: value})
+
+    @pytest.mark.parametrize("name", ["beta", "gamma", "theta1"])
+    @pytest.mark.parametrize("value", [1e308, 1e200, -1e200])
+    def test_rejects_coefficients_whose_data_could_overflow(self, name,
+                                                            value):
+        # the data overflowed, with a RuntimeWarning, and every
+        # replication failed on NonFinite
+        with pytest.raises(InvalidConfig, match=name):
+            SimConfig(m=3, k=2, n=50, **{name: value})
+
+    @pytest.mark.parametrize("n, m, k", [(50, 3, 2), (500, 10, 9)])
+    def test_largest_accepted_coefficients_do_not_overflow(self, n, m, k):
+        # the bounds of SimConfig's docstring, solved for each coefficient
+        z = simulate._MAX_DRAW
+        limit = math.sqrt(sys.float_info.max / n)
+        y_room = limit - z * m - z * z * (m - 1)
+        largest = {"beta": (limit / z - 1.0) / k, "theta1": y_room / z,
+                   "gamma": y_room / (k * (k - 1) // 2 * z * z)}
+        for name, value in largest.items():
+            with pytest.raises(InvalidConfig, match=name):
+                SimConfig(m=m, k=k, n=n, **{name: value * (1 + 1e-9)})
+            config = SimConfig(m=m, k=k, n=n, **{name: value})
+            # replications may fail, on rank or an exact fit, but no
+            # computation overflows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for i in range(4):
+                    simulate._replicate(config, i)
 
     def test_large_replication_counts_accepted(self):
         SimConfig(replications=100_000)  # full-scale runs are configurable
@@ -321,13 +350,13 @@ class TestRunStudy:
             return pvalues, rejected
 
         def full_model(*args):
-            test = _white_test(*args)
+            test = _focus_test(*args)
             record.update(f"{test.p_value.hex()};".encode())
             return test
 
         monkeypatch.setattr(simulate, "order_indices", ordering)
         monkeypatch.setattr(simulate, "hierarchy_pvalues", steps)
-        monkeypatch.setattr(simulate, "_white_test", full_model)
+        monkeypatch.setattr(simulate, "_focus_test", full_model)
         settings = {"m": 10, "k": 9, "beta": TABLE_BETA[10], "theta1": 0.4,
                     "n": 500, "replications": 100, "seed": 7}
         settings.update(config)

@@ -14,7 +14,8 @@ class Dataset:
     """An n-by-c matrix of finite floats with unique column labels.
 
     Column 0 is conventionally (but not necessarily) the response.
-    Instances are immutable; all transforms return new datasets.
+    Instances are immutable: ``values`` is read-only, and the transforms
+    of :mod:`impactreg.transforms` return a new dataset.
     """
 
     column_names: tuple[str, ...]
@@ -57,10 +58,16 @@ class Dataset:
         idx = [self.index(c) for c in columns]
         return self.values[:, idx]
 
-    def with_columns(self, names, values) -> "Dataset":
-        """Return a new dataset with extra columns appended."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        return Dataset(self.column_names + tuple(names),
-                       np.hstack([self.values, values]))
+    def design(self, columns) -> np.ndarray:
+        """The column-major design ``[1, columns...]``: an intercept, then
+        the named columns.
+
+        Each column is copied straight into its place, with no row-major
+        copy of the selection on the way: ``columns(names)`` followed by
+        a column-major copy holds two copies at once.
+        """
+        design = np.empty((self.n, len(columns) + 1), order="F")
+        design[:, 0] = 1.0
+        for k, column in enumerate(columns, start=1):
+            design[:, k] = self.values[:, self.index(column)]
+        return design

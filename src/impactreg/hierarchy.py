@@ -8,9 +8,21 @@ regression of y on the focus plus the first k ordered covariates;
 testing stops at the first non-rejection.
 
 Each function checks its whole input once, by the checking rule of
-:mod:`impactreg.regression`, before any work.  Both loops fit leading
-column slices of one preallocated column-major design, so the kernel's
-copy of each slice is one contiguous block, and ask only for what they
+:mod:`impactreg.regression`, before any work; a ``Dataset``'s values
+were checked when it was built.
+
+The ordering works in one column-major (n, q+1) buffer, filled straight
+from the candidates' source (the dataset's table or the caller's array),
+laid out as ``[1 | picks, raw, in pick order | remaining candidates,
+centred, in position order]``.  On each pick, the centred columns before
+the pick shift one place right, over its slot, and the pick's raw
+column goes in at the boundary.  Each correlation pass reads the
+remaining candidates as one contiguous slice, in position order, and
+each residualization fits the leading ``[1 | picks]`` slice.  The steps
+fit leading slices of one column-major design ``[1, focus,
+ordered...]``, which ``run_hierarchy`` builds once from the dataset.
+Either way the kernel's copy of each slice is one contiguous block, and
+no other copy of the table is made.  Both loops ask only for what they
 read: the ordering's residualizations call the kernel for no covariance
 row (``rows=()``), and each step is ``regression``'s one-coefficient
 test of the focus (``rows=(1,)``).  By the kernel's row contract (see
@@ -60,12 +72,33 @@ def order_indices(x_focus, candidates):
     are broken by the smallest column position.  If a residualization
     collapses, the remaining candidates are appended in position order.
     """
+    x_focus = np.asarray(x_focus, dtype=float)
     candidates = np.asarray(candidates, dtype=float)
-    # the checks and the correlations read one column-major copy of the
-    # candidates: reductions down its contiguous columns run several
-    # times faster than down the rows of a row-major input
-    x_focus, centred, _ = _validate(x_focus, np.array(candidates, order="F"))
-    n, q = centred.shape
+    if (x_focus.ndim != 1 or candidates.ndim != 2
+            or x_focus.shape[0] != candidates.shape[0]):
+        raise DimensionMismatch(
+            "x_focus must be 1-d and the candidates 2-d, with as many rows")
+    n, q = candidates.shape
+    # one assignment fills the buffer, whatever the candidates' layout,
+    # and the check reads its contiguous columns
+    buffer = np.empty((n, q + 1), order="F")
+    buffer[:, 0] = 1.0
+    buffer[:, 1:] = candidates
+    x_focus, _, _ = _validate(x_focus, buffer[:, 1:])
+    return _order(x_focus, buffer, candidates, range(q))
+
+
+def _order(x_focus, buffer, source, columns):
+    """The ordering of the candidates ``source[:, j] for j in columns``,
+    as positions in ``columns``.
+
+    ``buffer`` is the column-major ``[1, candidates...]``, which becomes
+    the buffer of the module docstring; the pick's raw columns are read
+    again from ``source``.  The input is known to be finite and to agree
+    in rows.
+    """
+    n = x_focus.shape[0]
+    q = len(columns)
     if q == 0:
         return []
     # constancy is tested exactly, as np.ptp tests it: the std of a
@@ -74,6 +107,7 @@ def order_indices(x_focus, candidates):
     if np.subtract(np.maximum.reduce(x_focus),
                    np.minimum.reduce(x_focus)) == 0.0:
         raise DegenerateCovariate("focus covariate is constant")
+    centred = buffer[:, 1:]
     if (np.subtract(np.maximum.reduce(centred), np.minimum.reduce(centred))
             == 0.0).any():
         raise DegenerateCovariate("a candidate covariate is constant")
@@ -87,18 +121,15 @@ def order_indices(x_focus, candidates):
     with backend._ONE_BLAS_THREAD:
         # the candidates are centred and their norms taken once, each
         # column summed down its contiguous storage as mean(axis=0) sums
-        # it.  The leading columns of the copy hold the remaining
-        # candidates in position order: a pick's column is closed up
-        # behind it, so each pass correlates the current focus residual
-        # with a leading slice, laid out as NumPy's copy
-        # centred[:, remaining] would be, and no column is copied out.
+        # it; norms[i] belongs to buffer column i + 1.  With k picks made,
+        # the remaining candidates fill columns k+1.. in position order,
+        # so each pass correlates the current focus residual with one
+        # contiguous slice, laid out as NumPy's copy centred[:, remaining]
+        # would be, and each residualization fits the leading [1 | picks]
+        # slice.
         centred -= np.add.reduce(centred) / n
         norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
-        flat = centred.reshape(-1, order="F")
-        # the picks so far, after an intercept column: each
-        # residualization fits a leading slice of it
-        design = np.empty((n, q + 1), order="F")
-        design[:, 0] = 1.0
+        flat = buffer.reshape(-1, order="F")
         remaining = list(range(q))
         order: list[int] = []
         resid = x_focus - np.add.reduce(x_focus) / n
@@ -107,10 +138,11 @@ def order_indices(x_focus, candidates):
         # no warning of theirs is hidden
         with np.errstate(invalid="ignore", divide="ignore"):
             while (r := len(remaining)) > 1:
+                k = q - r
                 v = resid - np.add.reduce(resid) / n
-                corr = centred[:, :r].T @ v
+                corr = buffer[:, k + 1:].T @ v
                 np.abs(corr, out=corr)
-                corr /= math.sqrt(v @ v) * norms[:r]
+                corr /= math.sqrt(v @ v) * norms[k:]
                 # argmin with position-order tie-break; nan (degenerate
                 # residual direction) sorts last
                 j = int(corr.argmin())
@@ -119,17 +151,20 @@ def order_indices(x_focus, candidates):
                     j = int(corr.argmin())
                 pick = remaining.pop(j)
                 order.append(pick)
-                # close up the pick's column and norm; the overlapping
-                # 1-d moves run front to back, as if through a copy
-                flat[j * n:(r - 1) * n] = flat[(j + 1) * n:r * n]
-                norms[j:r - 1] = norms[j + 1:r]
-                p = len(order) + 1
+                # the j columns before the pick, and their norms, shift
+                # one place right over its slot; an overlapping 1-d move
+                # runs as memmove, with no copy
+                flat[(k + 2) * n:(k + j + 2) * n] = \
+                    flat[(k + 1) * n:(k + j + 1) * n]
+                norms[k + 1:k + j + 1] = norms[k:k + j]
+                p = k + 2
                 if n <= p:
                     # no row is left to explain the focus with
                     break
-                design[:, p - 1] = candidates[:, pick]
+                # the pick's raw column goes in at the boundary
+                buffer[:, k + 1] = source[:, columns[pick]]
                 # only the residuals are read, so the kernel stops there
-                resid = backend.ols_sandwich(design[:, :p], x_focus,
+                resid = backend.ols_sandwich(buffer[:, :p], x_focus,
                                              rows=())[1]
                 if resid is None:
                     # rank < p: the focus is now fully explained
@@ -140,11 +175,16 @@ def order_indices(x_focus, candidates):
 
 
 def order_covariates(focus, candidates, data: Dataset):
-    """Label-level wrapper around :func:`order_indices`."""
+    """Label-level wrapper around :func:`order_indices`.
+
+    The ordering's buffer is filled straight from the dataset, whose
+    values are finite by construction.
+    """
     candidates = list(candidates)
     if not candidates:
         raise InvalidConfig("need at least one candidate covariate")
-    perm = order_indices(data.column(focus), data.columns(candidates))
+    perm = _order(data.column(focus), data.design(candidates), data.values,
+                  [data.index(c) for c in candidates])
     return [candidates[j] for j in perm]
 
 
@@ -190,14 +230,22 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
             "x_focus must be 1-d and the ordered candidates 2-d, with as "
             "many rows")
     n, q = ordered.shape
-    # every step fits a leading slice of one design [1, x_focus, ordered]
     design = np.empty((n, q + 2), order="F")
     design[:, 0] = 1.0
     design[:, 1] = x_focus
     design[:, 2:] = ordered
+    return _steps(y, design, alpha, include_bivariate, flavor, reference,
+                  column_names)
+
+
+def _steps(y, design, alpha, include_bivariate, flavor, reference,
+           column_names):
+    """The step loop of :func:`hierarchy_pvalues` on the column-major
+    design ``[1, x_focus, ordered...]``, checked here as a whole; every
+    step fits a leading slice of it."""
     y, design, column_names = _validate(y, design, flavor, column_names)
     response_norm = _norm(y)
-    steps = q + 1 if include_bivariate else q
+    steps = design.shape[1] - 1 if include_bivariate else design.shape[1] - 2
     pvalues: list = [None] * steps
     rejected = 0
     first = 2 if include_bivariate else 3
@@ -221,7 +269,7 @@ def run_hierarchy(y_col, focus, candidates, data: Dataset, alpha=0.05,
     """Full hierarchical procedure on a labeled dataset."""
     candidates = list(candidates)
     y = data.column(y_col)
-    x_focus = data.column(focus)
+    data.index(focus)  # an unknown focus raises before the ordering
     if ordering is not None:
         ordering = list(ordering)
         if sorted(ordering) != sorted(candidates):
@@ -234,11 +282,9 @@ def run_hierarchy(y_col, focus, candidates, data: Dataset, alpha=0.05,
         if not include_bivariate:
             raise InvalidConfig(
                 "no candidates and no bivariate step: nothing to test")
-    ordered = data.columns(ordering) if ordering else np.empty((data.n, 0))
-    pvalues, rejected = hierarchy_pvalues(
-        y, x_focus, ordered, alpha, include_bivariate=include_bivariate,
-        flavor=flavor, reference=reference,
-        column_names=("intercept", focus, *ordering))
+    pvalues, rejected = _steps(
+        y, data.design([focus, *ordering]), alpha, include_bivariate,
+        flavor, reference, ("intercept", focus, *ordering))
     confounders = max(0, rejected - 1) if include_bivariate else rejected
     return HierarchyResult(
         focus=focus,

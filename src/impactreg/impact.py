@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (DegenerateCovariate, DimensionMismatch,
-                     InvariantViolation, ZeroStdError)
+                     InvariantViolation, NonFinite, ZeroStdError)
 from .regression import CoefficientTest, _coefficient_test, residualize
 
 
@@ -71,6 +71,10 @@ def _check_pair(y, x):
         raise DimensionMismatch("y and x must be 1-d vectors of equal length")
     if y.shape[0] < 2:
         raise DimensionMismatch("need at least 2 observations")
+    # before any moment is taken: a nan would pass through them, and an
+    # inf would warn in them
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise NonFinite("non-finite entries in y or x")
     return y, x
 
 
@@ -124,11 +128,10 @@ def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
     y = data.column(y_col)
     x_res = residualize(focus, adjust, data)
     sx = _check_spread(x_res, f"residualized {focus!r}")
-    X = np.column_stack([np.ones(data.n), data.column(focus),
-                         data.columns(adjust)])
     try:
-        test = _coefficient_test(y, X, 1, ("intercept", focus, *adjust),
-                                 flavor, reference)
+        test = _coefficient_test(y, data.design([focus, *adjust]), 1,
+                                 ("intercept", focus, *adjust), flavor,
+                                 reference)
     except ZeroStdError as exc:
         # an exact fit: the test is degenerate, the coefficient is not
         return y, x_res, sx, exc.estimate, None

@@ -9,11 +9,13 @@ checks nothing, so every input from outside the package passes
 both finite, the sandwich flavor is HC0 or HC1 and the column names, if
 given, name every column of X.  ``fit_ols``, ``residualize``, the
 one-coefficient route ``_coefficient_test`` (``slope_identity_check``,
-impact's tests), ``hierarchy.order_indices`` and
-``hierarchy.hierarchy_pvalues`` each call it once, on their whole input.
-Only data the package generated itself skips it: ``simulate``'s
-full-model comparator, whose data are finite by construction once
-``SimConfig`` has bounded the coefficients.  The row count is the one
+impact's tests), ``hierarchy.order_indices`` and the hierarchy's step
+loop (``hierarchy_pvalues``, ``run_hierarchy``) each call it once, on
+their whole input.  Only data already known to be finite skip it:
+``simulate``'s full-model comparator, whose data are finite by
+construction once ``SimConfig`` has bounded the coefficients, and the
+ordering of ``hierarchy.order_covariates``, which reads a ``Dataset``,
+checked when it was built.  The row count is the one
 rule left to each fit, ``n > p`` at the fit's own width, so a hierarchy
 can stop early on a short sample before p reaches n.
 
@@ -259,6 +261,6 @@ def residualize(target_column: str, on_columns, data: Dataset):
     on_columns = list(on_columns)
     if not on_columns:
         return target - target.mean()
-    X = np.column_stack([np.ones(data.n), data.columns(on_columns)])
-    checked = _validate(target, X, "HC0", ("intercept", *on_columns))
+    checked = _validate(target, data.design(on_columns), "HC0",
+                        ("intercept", *on_columns))
     return _fit(*checked, "HC0", ())[1]

@@ -6,9 +6,15 @@ and finite values; otherwise it rewinds and reruns the strict per-cell
 scanner, which is the reference for every value and the only source of
 parse errors.  Non-seekable streams go to the strict scanner directly.
 
-Transforms are applied in order and never modify existing columns in
-place; augmentation steps only append.  Missing values are a hard error
-(the estimators assume complete i.i.d. rows).
+Transforms are applied in order, and the input dataset is never
+modified.  The steps share one working copy of the values: the
+exclusion's copy, or else the one made by the first step that writes.
+``log``, ``standardize`` and ``dichotomize`` write their column into it
+in place, and augmentation steps append columns to it, which makes a
+new copy.  Each step checks the columns it writes, so an error is
+raised by the step that causes it, and the result is built into a
+``Dataset`` once, at the end.  Missing values are a hard error (the
+estimators assume complete i.i.d. rows).
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (EmptyAfterExclusion, InvalidConfig, MissingValue,
-                     NonPositiveLogInput, ParseError, SchemaMismatch,
-                     UnknownColumn)
+from .errors import (DimensionMismatch, EmptyAfterExclusion, InvalidConfig,
+                     MissingValue, NonFinite, NonPositiveLogInput,
+                     ParseError, SchemaMismatch, UnknownColumn)
 
 _COMPARATORS = {
     "<": lambda a, b: a < b,
@@ -212,8 +218,31 @@ def _field(step, key, convert=None):
             from None
 
 
-def _exclude_rows(data, step, log):
-    column = data.column(_field(step, "column"))
+def _column(names, values, label):
+    return values[:, names.index(label)]
+
+
+def _check_finite(values):
+    # each step checks what it writes, as building a Dataset would
+    if not np.isfinite(values).all():
+        raise NonFinite("dataset contains NaN or infinite entries")
+
+
+def _replace_column(names, values, label, column):
+    """Write ``column`` over ``label``'s column of the working copy.
+
+    The input dataset's values are read-only, so the first write copies
+    them; every later write lands in that copy.
+    """
+    _check_finite(column)
+    if not values.flags.writeable:
+        values = values.copy()
+    values[:, names.index(label)] = column
+    return names, values
+
+
+def _exclude_rows(names, values, step, log):
+    column = _column(names, values, _field(step, "column"))
     comparator = _COMPARATORS.get(step.get("comparator"))
     if comparator is None:
         raise InvalidConfig(f"unknown comparator {step.get('comparator')!r}")
@@ -226,33 +255,29 @@ def _exclude_rows(data, step, log):
         raise EmptyAfterExclusion(
             f"exclusion on {step['column']!r} leaves {int(keep.sum())} rows")
     log.append(f"exclude_rows({step['column']} {step['comparator']} "
-               f"{threshold}): dropped {int(drop.sum())} of {data.n} rows")
-    return Dataset(data.column_names, data.values[keep])
+               f"{threshold}): dropped {int(drop.sum())} of "
+               f"{values.shape[0]} rows")
+    # a new, writable array: the later writes land in it
+    return names, values[keep]
 
 
-def _replace_column(data, label, values):
-    out = data.values.copy()
-    out[:, data.index(label)] = values
-    return Dataset(data.column_names, out)
-
-
-def _log(data, step, log):
+def _log(names, values, step, log):
     label = _field(step, "column")
     offset = _field(step, "offset", float) if "offset" in step else 0.0
     if offset < 0 or not math.isfinite(offset):
         raise InvalidConfig("log offset must be finite and >= 0")
-    shifted = data.column(label) + offset
+    shifted = _column(names, values, label) + offset
     if np.any(shifted <= 0.0):
         raise NonPositiveLogInput(
             f"log of column {label!r} requires strictly positive input "
             f"(min {shifted.min():g}); supply an explicit offset")
     log.append(f"log({label}, offset={offset:g})")
-    return _replace_column(data, label, np.log(shifted))
+    return _replace_column(names, values, label, np.log(shifted))
 
 
-def _dichotomize(data, step, log):
+def _dichotomize(names, values, step, log):
     label = _field(step, "column")
-    column = data.column(label)
+    column = _column(names, values, label)
     rule = step.get("rule", "by_threshold")
     value = _field(step, "value", float)
     if rule == "by_threshold":
@@ -262,42 +287,52 @@ def _dichotomize(data, step, log):
     else:
         raise InvalidConfig(f"unknown dichotomize rule {rule!r}")
     log.append(f"dichotomize({label}, {rule}, {value:g})")
-    return _replace_column(data, label, out)
+    return _replace_column(names, values, label, out)
 
 
-def _standardize(data, step, log):
+def _standardize(names, values, step, log):
     label = _field(step, "column")
-    column = data.column(label)
+    column = _column(names, values, label)
     # exact: the std of a constant column whose mean does not round
     # exactly is 1e-17..1e-13, not 0
     if np.ptp(column) == 0.0:
         raise InvalidConfig(f"cannot standardize constant column {label!r}")
     log.append(f"standardize({label})")
-    return _replace_column(data, label,
+    return _replace_column(names, values, label,
                            (column - column.mean()) / column.std())
 
 
-def _augment_quadratic(data, step, log):
+def _append_columns(names, values, added, columns):
+    """The table with ``columns`` appended under the names ``added``."""
+    names = names + tuple(added)
+    if len(set(names)) != len(names):
+        raise DimensionMismatch("duplicate column names")
+    _check_finite(columns)
+    return names, np.hstack([values, columns])
+
+
+def _augment_quadratic(names, values, step, log):
     labels = list(_field(step, "columns"))
-    names = [f"{c}^2" for c in labels]
-    values = data.columns(labels) ** 2
+    added = [f"{c}^2" for c in labels]
+    columns = values[:, [names.index(c) for c in labels]] ** 2
     log.append(f"augment_quadratic({', '.join(labels)}): added "
-               f"{', '.join(names)}")
-    return data.with_columns(names, values)
+               f"{', '.join(added)}")
+    return _append_columns(names, values, added, columns)
 
 
-def _augment_interactions(data, step, log):
+def _augment_interactions(names, values, step, log):
     labels = list(_field(step, "columns"))
-    names, cols = [], []
+    added, cols = [], []
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
-            names.append(f"{labels[i]}*{labels[j]}")
-            cols.append(data.column(labels[i]) * data.column(labels[j]))
-    if not names:
-        return data
+            added.append(f"{labels[i]}*{labels[j]}")
+            cols.append(_column(names, values, labels[i])
+                        * _column(names, values, labels[j]))
+    if not added:
+        return names, values
     log.append(f"augment_interactions({', '.join(labels)}): added "
-               f"{', '.join(names)}")
-    return data.with_columns(names, np.column_stack(cols))
+               f"{', '.join(added)}")
+    return _append_columns(names, values, added, np.column_stack(cols))
 
 
 _STEPS = {
@@ -311,14 +346,22 @@ _STEPS = {
 
 
 def apply_transforms(data: Dataset, spec: TransformSpec):
-    """Apply all steps in order; returns (dataset, provenance log)."""
+    """Apply all steps in order; returns (dataset, provenance log).
+
+    ``data`` is never modified.  The steps work on one copy of its
+    values, made by the first step that writes (see the module
+    docstring), and the result is built once, at the end.
+    """
     log: list[str] = []
+    names, values = data.column_names, data.values
     for step in spec.steps:
-        if "column" in step and step["column"] not in data.column_names:
+        if "column" in step and step["column"] not in names:
             raise UnknownColumn(step["column"])
         if "columns" in step:
             for c in step["columns"]:
-                if c not in data.column_names:
+                if c not in names:
                     raise UnknownColumn(c)
-        data = _STEPS[step["op"]](data, step, log)
-    return data, log
+        names, values = _STEPS[step["op"]](names, values, step, log)
+    if values is data.values:
+        return data, log
+    return Dataset(names, values), log

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -252,6 +253,42 @@ class TestAnalyze:
                     "--focus", "x", "--hierarchy"])
         assert code == 3
         assert "a candidate covariate is constant" in capsys.readouterr().err
+
+    def test_working_set_of_a_hierarchy_with_transforms(self, tmp_path):
+        # the request holds the table, one working copy of it and the
+        # ordering's and the steps' designs, not a staging copy per stage
+        rows = 20_000
+        rng = np.random.default_rng(17)
+        c = rng.standard_normal((rows, 10))
+        c[:, 8] = np.exp(0.5 * c[:, 8])
+        x1 = rng.standard_normal(rows) + 0.5 * c[:, :3].sum(axis=1)
+        y = x1 + c[:, :5].sum(axis=1) + rng.standard_normal(rows)
+        values = np.column_stack([y, x1, c])
+        path = tmp_path / "t.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(["y", "x1", *(f"c{j}" for j in range(1, 11))])
+                     + "\n")
+            np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+        spec = [{"op": "exclude_rows", "column": "c10", "comparator": ">",
+                 "threshold": 2.5},
+                {"op": "log", "column": "c9"},
+                {"op": "standardize", "column": "x1"}]
+        argv = ["analyze", "--data", str(path), "--response", "y",
+                "--focus", "x1", "--hierarchy", "--transforms",
+                json.dumps(spec), "--out", str(tmp_path / "r.json")]
+        assert run(argv) == 0  # caches and lazy imports filled first
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 3.5 * values.nbytes, peak / values.nbytes
 
 
 class TestSimulate:

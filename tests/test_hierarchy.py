@@ -249,6 +249,27 @@ class TestOrdering:
         r2 = run_hierarchy("y", "x1", ["a", "b", "c"], d2)
         assert r1.ordering == r2.ordering
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dataset_route_matches_the_array_route(self, seed):
+        # the ordering's buffer and the steps' design are filled straight
+        # from the table, whatever the candidates' positions in it
+        rng = np.random.default_rng(seed)
+        n = 301
+        values = rng.standard_normal((n, 6))
+        values[:, 3] = values[:, [0, 2, 5]].sum(axis=1) + values[:, 3]
+        values[:, 1] = values[:, 3] + values[:, 2] + values[:, 1]
+        data = Dataset(("c3", "y", "c1", "x1", "c4", "c2"), values)
+        cands = ["c1", "c2", "c3", "c4"]
+        ordering = order_covariates("x1", cands, data)
+        perm = order_indices(data.column("x1"), data.columns(cands))
+        assert ordering == [cands[j] for j in perm]
+        result = run_hierarchy("y", "x1", cands, data, alpha=1.0,
+                               include_bivariate=True)
+        pvalues, _ = hierarchy_pvalues(
+            data.column("y"), data.column("x1"), data.columns(ordering),
+            alpha=1.0, include_bivariate=True)
+        assert list(result.step_pvalues) == pvalues
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -502,7 +523,10 @@ def test_kernel_reads_column_major_slices(monkeypatch):
     y, x1, cand = TestRowCounts.problem(n=60, q=5)
     order_indices(x1, cand)
     hierarchy_pvalues(y, x1, cand, alpha=1.0, include_bivariate=True)
-    assert len(layouts) == 4 + 6 and all(layouts)
+    data = Dataset(("y", "x1", *"abcde"), np.column_stack([y, x1, cand]))
+    run_hierarchy("y", "x1", list("abcde"), data, alpha=1.0,
+                  include_bivariate=True)
+    assert len(layouts) == 2 * (4 + 6) and all(layouts)
 
 
 class TestHierarchyPvalues:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from impactreg import (linear_mean_impact, linear_mean_slope, mod_r2,
 from impactreg.dataset import Dataset
 from impactreg import impact
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
-                              InvariantViolation)
+                              InvariantViolation, NonFinite)
 from impactreg.impact import cov_n, sd_n
 
 
@@ -67,6 +69,22 @@ class TestLinearImpact:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linear_mean_impact(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("estimator", [linear_mean_impact,
+                                           linear_mean_slope, mod_r2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["y", "x"])
+    def test_non_finite_pair_raises_before_any_moment(self, estimator, value,
+                                                      where):
+        # a nan used to pass through the moments (mod_r2 returned nan)
+        # and an inf to warn in them before the fit raised
+        rng = np.random.default_rng(3)
+        y, x = rng.standard_normal(50), rng.standard_normal(50)
+        (y if where == "y" else x)[7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFinite):
+                estimator(y, x)
 
 
 class TestPartialImpact:

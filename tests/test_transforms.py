@@ -332,6 +332,53 @@ class TestApplyTransforms:
             apply_transforms(sample_data(), TransformSpec((
                 {"op": "frobnicate", "column": "x1"},)))
 
+    @pytest.mark.parametrize("exclusion", [False, True])
+    def test_input_is_untouched(self, exclusion):
+        data = sample_data()
+        before = data.values.copy()
+        steps = [{"op": "log", "column": "x1"},
+                 {"op": "standardize", "column": "x2"},
+                 {"op": "dichotomize", "column": "y", "value": 1.0}]
+        if exclusion:
+            steps.insert(0, {"op": "exclude_rows", "column": "x1",
+                             "comparator": ">", "threshold": 5.0})
+        out, _ = apply_transforms(data, TransformSpec(tuple(steps)))
+        np.testing.assert_array_equal(data.values, before)
+        assert not data.values.flags.writeable
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, data.values)
+        kept = before[:2] if exclusion else before
+        np.testing.assert_array_equal(out.column("x1"), np.log(kept[:, 1]))
+        np.testing.assert_array_equal(out.column("y"),
+                                      (kept[:, 0] > 1.0).astype(float))
+
+    def test_no_write_returns_the_input(self):
+        data = sample_data()
+        out, _ = apply_transforms(data, TransformSpec((
+            {"op": "augment_interactions", "columns": ["x1"]},)))
+        assert out is data
+
+    @pytest.mark.parametrize("steps, error", [
+        # a square or a shifted column that overflows is the error of its
+        # own step, not of a later one
+        ([{"op": "augment_quadratic", "columns": ["x2"]},
+          {"op": "standardize", "column": "zzz"}], NonFinite),
+        ([{"op": "log", "column": "x2", "offset": 1.7e308},
+          {"op": "standardize", "column": "zzz"}], NonFinite),
+        ([{"op": "exclude_rows", "column": "y", "comparator": ">",
+           "threshold": 2.0},
+          {"op": "log", "column": "x2", "offset": 1.7e308}], NonFinite),
+        ([{"op": "augment_quadratic", "columns": ["x1"]},
+          {"op": "augment_quadratic", "columns": ["x1"]},
+          {"op": "standardize", "column": "zzz"}], DimensionMismatch),
+    ])
+    def test_each_step_checks_what_it_writes(self, steps, error):
+        data = Dataset(("y", "x1", "x2"), np.array(
+            [[1.5, 2.0, 1e200], [-0.5, 4.0, 1.7e308], [2.25, 6.0, 3.0]]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(error):
+                apply_transforms(data, TransformSpec(tuple(steps)))
+
     def test_provenance_log_covers_each_step(self):
         spec = TransformSpec((
             {"op": "standardize", "column": "x1"},

@@ -397,7 +397,11 @@ def build_parser():
     po = sub.add_parser("oracle-check", help="exact population parameters "
                                              "of a discrete joint (JSON)")
     po.add_argument("--joint", required=True)
-    po.add_argument("--n-cap", type=int, default=10 ** 6)
+    po.add_argument("--n-cap", type=int, default=10 ** 6,
+                    help="largest n of the disturbance, whose ratio is "
+                         "evaluated once, at a cost independent of Y's "
+                         "units; a binding cap can return less than the "
+                         "mean impact")
     po.add_argument("--out", default="-")
     po.set_defaults(func=_cmd_oracle_check)
     return parser

@@ -204,14 +204,14 @@ def fixed_sequence_test(p_values, alpha):
 
 
 def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
-                      flavor="HC0", reference="student_t", column_names=None):
+                      flavor="HC0", reference="student_t"):
     """Sequential step p-values with early stopping (array form).
 
     Returns ``(pvalues, rejected_prefix)``; p-values past the first
-    non-rejection are ``None`` (never evaluated).  ``column_names`` names
-    the columns of the full design (intercept, focus, ordered...), for
-    the errors of the step fits; by default they are ``fit_ols``'s
-    (``x0``, ``x1``, ...).
+    non-rejection are ``None`` (never evaluated).  The errors of the step
+    fits name the columns of the full design (intercept, focus,
+    ordered...) as ``fit_ols`` does by default: ``x0``, ``x1``, ...;
+    :func:`run_hierarchy` names them by the dataset's labels.
 
     Each step's p-value, and the error a step raises, are those of
     ``regression``'s one-coefficient test, ``_focus_test``, on the step's
@@ -234,12 +234,11 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     design[:, 0] = 1.0
     design[:, 1] = x_focus
     design[:, 2:] = ordered
-    return _steps(y, design, alpha, include_bivariate, flavor, reference,
-                  column_names)
+    return _steps(y, design, alpha, include_bivariate, flavor, reference)
 
 
 def _steps(y, design, alpha, include_bivariate, flavor, reference,
-           column_names):
+           column_names=None):
     """The step loop of :func:`hierarchy_pvalues` on the column-major
     design ``[1, x_focus, ordered...]``, checked here as a whole; every
     step fits a leading slice of it."""

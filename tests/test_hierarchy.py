@@ -126,10 +126,11 @@ def step_loop(test):
     does, and then every check is the test's, made at every step.
     """
     def loop(y, x_focus, ordered, alpha, include_bivariate, flavor,
-             reference, column_names):
+             reference):
         n, q = ordered.shape
         design = np.column_stack([np.ones(n), x_focus, ordered])
-        _validate(y, design, flavor, column_names)
+        # hierarchy_pvalues names the columns as fit_ols does by default
+        column_names = _validate(y, design, flavor)[2]
         steps = q + 1 if include_bivariate else q
         first = 2 if include_bivariate else 3
         pvalues = [None] * steps
@@ -208,12 +209,11 @@ def test_step_pvalues_match_the_fit_ols_loop(problem, data):
         # NonFinite up front, even where the steps stop before it
         ordered[row, data.draw(st.integers(0, q - 1))] = value
     # hierarchy_pvalues's positional order: alpha, include_bivariate,
-    # flavor, reference, column_names
+    # flavor, reference
     args = (y, x1, ordered, data.draw(st.sampled_from([0.05, 0.5, 1.0])),
             data.draw(st.booleans()),
             data.draw(st.sampled_from(["HC0", "HC1"])),
-            data.draw(st.sampled_from(["student_t", "normal"])),
-            ("intercept", "focus", *(f"c{j}" for j in range(q))))
+            data.draw(st.sampled_from(["student_t", "normal"])))
     outcome = kernel_widths_and_outcome(hierarchy_pvalues, *args)
     # the same bits as the one-coefficient route, and as the fit_ols
     # route, which forms every covariance row: the kernel sums a row's

@@ -1,16 +1,23 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from impactreg import (DiscreteJoint, confounding_example_value,
+from impactreg import (Dataset, DiscreteJoint, confounding_example_value,
                        constrained_sup_check, exact_linear_impact,
                        exact_mean_impact, exact_partial_linear_impact,
-                       exact_partial_mean_impact, population_params,
-                       population_theta, quadratic_slope_closed_form)
+                       exact_partial_mean_impact, fit_ols,
+                       linear_mean_impact, partial_linear_mean_impact,
+                       population_params, population_theta,
+                       quadratic_slope_closed_form)
 from impactreg.oracle import _conditional_mean_y, exact_mod
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
                               InvalidConfig, OutOfRange, SingularMoments)
+
+EPS = np.finfo(float).eps
 
 
 def uniform_joint(pairs):
@@ -166,6 +173,70 @@ class TestPopulationTheta:
                 >= base - 1e-12
 
 
+def grid_ratios(joint, n_cap=10 ** 6):
+    """``(ratios, iota)``: the ratio at n = 1, ..., N that the oracle's
+    former scan evaluated, one Python pass per n (None where SD(delta_n)
+    is 0), and the mean impact; ``ratios`` is None when iota is 0."""
+    _, w, h, _ = _conditional_mean_y(joint, list(range(joint.m)))
+    ey = float(np.dot(w, h))
+    dhat = h - ey
+    iota = math.sqrt(max(float(np.dot(w, dhat ** 2)), 0.0))
+    if iota <= 1e-15:
+        return None, 0.0
+    d_plus = np.maximum(dhat, 0.0)
+    d_minus = np.maximum(-dhat, 0.0)
+    e_plus = float(np.dot(w, d_plus))
+    n_max = min(n_cap, max(int(math.ceil(d_minus.max())), 1))
+    ratios = []
+    for n in range(1, n_max + 1):
+        capped = np.minimum(d_minus, float(n))
+        eta = float(np.dot(w, capped)) / e_plus if e_plus > 0 else 1.0
+        delta = (eta * d_plus - capped) / n
+        assert np.all(delta >= -1.0 - 1e-12)
+        sd = math.sqrt(max(float(np.dot(w, delta ** 2))
+                           - float(np.dot(w, delta)) ** 2, 0.0))
+        ratios.append(float(np.dot(w, h * delta)) / sd if sd > 0.0
+                      else None)
+    return ratios, iota
+
+
+def _scan_sup(joint, n_cap=10 ** 6):
+    """The sup over the whole grid: the reference for the one ratio."""
+    ratios, iota = grid_ratios(joint, n_cap)
+    if ratios is None:
+        return 0.0, 0.0
+    return max((r for r in ratios if r is not None), default=0.0), iota
+
+
+def scaled_joint(seed, scale):
+    """A random joint with Y in units of ``scale``: some with tied
+    covariates, some with a zero-probability atom."""
+    rng = np.random.default_rng(seed)
+    s, m = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+    if seed % 3 == 0:
+        x = rng.integers(-1, 2, size=(s, m)).astype(float)
+    else:
+        x = rng.standard_normal((s, m))
+    support = np.column_stack([scale * rng.standard_normal(s), x])
+    probs = rng.dirichlet(np.ones(s))
+    if seed % 4 == 0:
+        probs[rng.integers(s)] = 0.0
+    return DiscreteJoint(support, probs / probs.sum())
+
+
+def ulps(joint, iota):
+    """4 ulps of the ratio's scale: E[Y delta_n] adds E(Y) E[delta_n],
+    whose rounding grows with |E(Y)|."""
+    return 4 * EPS * (iota + abs(float(np.dot(joint.probs, joint.y))))
+
+
+def last_n(joint):
+    """N = max(ceil(max dhat_minus), 1), the scan's last n uncapped."""
+    h = _conditional_mean_y(joint, list(range(joint.m)))[0]
+    d_minus = np.maximum(float(np.dot(joint.probs, h)) - h, 0.0)
+    return max(int(math.ceil(d_minus.max())), 1)
+
+
 class TestConstrainedSup:
     def test_three_point_bounded_reaches_iota(self):
         # bounded deviations: the truncation stops binding at finite n and
@@ -199,6 +270,55 @@ class TestConstrainedSup:
         joint = uniform_joint([(0, 0), (1, 1)])
         with pytest.raises(OutOfRange):
             constrained_sup_check(joint, n_cap=0)
+
+    @pytest.mark.parametrize("scale", [1, 30, 300])
+    def test_one_ratio_is_the_scan_sup(self, scale):
+        # 1,002 joints over the three scales
+        for seed in range(334):
+            joint = scaled_joint(seed, scale)
+            sup, iota = constrained_sup_check(joint)
+            want, want_iota = _scan_sup(joint)
+            assert iota == want_iota
+            assert abs(sup - want) <= ulps(joint, iota)
+
+    @pytest.mark.parametrize("scale", [1, 30, 300])
+    def test_binding_cap_is_the_scan_sup_to_the_cap(self, scale):
+        checked = 0
+        for seed in range(200):
+            joint = scaled_joint(seed, scale)
+            n_cap = last_n(joint) // 2
+            if n_cap < 1:
+                continue
+            sup, iota = constrained_sup_check(joint, n_cap=n_cap)
+            want, _ = _scan_sup(joint, n_cap=n_cap)
+            assert abs(sup - want) <= ulps(joint, iota)
+            assert sup <= iota + ulps(joint, iota)
+            checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("scale", [1, 30, 300])
+    def test_ratio_never_decreases_on_the_integer_grid(self, scale):
+        for seed in range(100):
+            joint = scaled_joint(seed, scale)
+            ratios, iota = grid_ratios(joint)
+            if ratios is None:
+                continue
+            ratios = [r for r in ratios if r is not None]
+            for before, after in zip(ratios, ratios[1:]):
+                assert after >= before - ulps(joint, iota)
+
+    def test_cost_does_not_grow_with_the_units_of_y(self):
+        # 200 atoms with Y in units of 1e5: the grid runs to n ~ 3e5,
+        # which a scan over n took seconds to walk
+        rng = np.random.default_rng(7)
+        support = rng.standard_normal((200, 3))
+        support[:, 0] *= 1e5
+        joint = DiscreteJoint(support, rng.dirichlet(np.ones(200)))
+        assert last_n(joint) > 10 ** 5
+        start = time.perf_counter()
+        sup, iota = constrained_sup_check(joint)
+        assert time.perf_counter() - start < 0.5
+        assert abs(sup - iota) <= ulps(joint, iota)
 
 
 class TestClosedForms:
@@ -301,3 +421,90 @@ class TestPopulationParams:
         for k in range(joint.m):
             assert params.linear_impact[k] == pytest.approx(
                 exact_linear_impact(joint, k), rel=1e-12)
+
+
+@st.composite
+def samples(draw, tied=False):
+    """(y, X): n rows of m covariates and a continuous y.  Tied
+    covariates take a few integer values; otherwise they are shifted,
+    scaled and correlated normals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m + 3, 60))
+    if tied:
+        X = rng.integers(-1, 2, size=(n, m)).astype(float)
+        X[:, 0] += X[:, 1:].sum(axis=1) * draw(st.sampled_from([0, 1]))
+        y = np.tanh(X.sum(axis=1)) + X[:, 0] ** 2 + rng.standard_normal(n)
+    else:
+        X = rng.standard_normal((n, m)) @ rng.uniform(-1.0, 1.0, (m, m))
+        X = X * rng.uniform(0.1, 10.0, m) + rng.uniform(-5.0, 5.0, m)
+        y = X @ rng.standard_normal(m) + rng.standard_normal(n)
+    return y, X
+
+
+def sample_as_population(y, X):
+    """The sample as its own population: each row an atom of weight 1/n."""
+    n = len(y)
+    return DiscreteJoint(np.column_stack([y, X]), np.full(n, 1.0 / n))
+
+
+def sample_dataset(y, X):
+    names = ("y",) + tuple(f"x{j}" for j in range(X.shape[1]))
+    return Dataset(names, np.column_stack([y, X]))
+
+
+def design_tolerance(X):
+    """Normal equations lose about cond(X)^2 eps; QR about cond(X) eps."""
+    design = np.column_stack([np.ones(len(X)), X])
+    cond = np.linalg.cond(design)
+    assume(cond < 1e4)
+    return 4 * EPS * cond ** 2
+
+
+class TestSampleAsPopulation:
+    """The oracle on ``DiscreteJoint(rows, 1/n)`` reproduces the sample
+    estimators, by weighted normal equations instead of the QR kernel."""
+
+    @given(samples())
+    @settings(max_examples=100, deadline=None)
+    def test_reproduces_the_sample_estimators(self, sample):
+        y, X = sample
+        tol = design_tolerance(X)
+        joint = sample_as_population(y, X)
+        scale = float(np.std(y))
+        assert abs(exact_linear_impact(joint, 0)
+                   - linear_mean_impact(y, X[:, 0]).value) <= tol * scale
+        design = np.column_stack([np.ones(len(y)), X])
+        coef = fit_ols(y, design).coefficients
+        # the residual's share of the error, in the units of the coefficients
+        spread = np.linalg.norm(y) / np.linalg.norm(design, 2)
+        assert np.linalg.norm(population_theta(joint) - coef) <= tol * (
+            np.linalg.norm(coef) + spread)
+        if X.shape[1] > 1:
+            data = sample_dataset(y, X)
+            est = partial_linear_mean_impact("y", "x0",
+                                             data.column_names[2:], data)
+            assert abs(exact_partial_linear_impact(joint, 0)
+                       - est.value) <= tol * scale
+
+    @given(samples(tied=True))
+    @settings(max_examples=100, deadline=None)
+    def test_mean_impacts_bound_the_linear_ones(self, sample):
+        # the paper's conservative bounds, with the sample as population
+        y, X = sample
+        tol = design_tolerance(X)
+        joint = sample_as_population(y, X)
+        assume(len(_conditional_mean_y(joint, list(range(joint.m)))[1])
+               < len(y))  # ties, so that E(Y|X) is not Y itself
+        scale = float(np.std(y))
+        iota = exact_mean_impact(joint)
+        for k in range(X.shape[1]):
+            assert linear_mean_impact(y, X[:, k]).value <= iota + tol * scale
+        if X.shape[1] > 1:
+            data = sample_dataset(y, X)
+            names = list(data.column_names[1:])
+            for k, focus in enumerate(names):
+                adjust = names[:k] + names[k + 1:]
+                est = partial_linear_mean_impact("y", focus, adjust, data)
+                assert est.value <= (exact_partial_mean_impact(joint, k)
+                                     + tol * scale)

@@ -50,15 +50,26 @@ calls left outside the cap are the normal-equation solves and dot
 products of ``oracle``, which no ``analyze`` or ``simulate`` path
 reaches.
 
+The kernel factors the design it is given in place.  ``dgeqp3``
+overwrites X with R and its Householder vectors, and the kernel never
+copies X: the callers hand over a writeable column-major float64 buffer
+they own and do not read again (see ``ols_sandwich``).  Where X has
+another layout or dtype, f2py makes the column-major copy that LAPACK
+needs and the caller's array is left as it was; a read-only X is
+refused, since f2py would write through it.  So the designs the package
+builds (``Dataset.design``, the ordering's buffer, the steps' design,
+the comparator's design, impact's stacks) are factored where they lie,
+and the callers that take a design from outside copy it once, at
+``regression``'s boundary.
+
 The factorization and the solves call LAPACK (``dgeqp3``, ``dormqr``,
 ``dtrtrs``) through ``scipy.linalg.lapack`` directly: at 500 rows the
 input checks, batching and workspace queries of ``scipy.linalg.qr`` and
 ``solve_triangular`` cost about 35-40% of a fit.  Q is never formed:
 ``dormqr`` applies its Householder reflectors to the few columns that
-need them (y, the residual's and the requested rows'), X is copied once
-to column-major order and not read again, and the factorization's
-optimal ``lwork`` is queried once per shape, then reused.
-``tests/test_regression.py`` keeps the explicit-Q SciPy
+need them (y, the residual's and the requested rows'), and the
+factorization's optimal ``lwork`` is queried once per shape, then
+reused.  ``tests/test_regression.py`` keeps the explicit-Q SciPy
 composition, ``qr(X, mode="economic", pivoting=True)`` with two
 ``solve_triangular`` calls, as the reference and checks the kernel
 against it within a cond(X)-scaled tolerance.
@@ -144,14 +155,16 @@ _LWORK: dict = {}
 
 
 def _factor(a):
-    """``dgeqp3`` of the column-major a, in a's place: (factor, piv, tau).
+    """``dgeqp3`` of a, in a's place when a is column-major float64:
+    (factor, piv, tau).
 
     The optimal workspace is queried once per shape, then reused, as
     SciPy would query it on every call.  The query and the call both
-    pass ``overwrite_a=1``: a is owned by the kernel, so neither copies
-    it (the query leaves it untouched).  As in every LAPACK call here,
-    the arguments go by position (``lwork``, ``overwrite_a``): f2py
-    parses keywords at about the cost of a small solve.
+    pass ``overwrite_a=1``: the caller gives a up, so neither copies a
+    column-major float64 a (the query leaves it untouched).  As in every
+    LAPACK call here, the arguments go by position (``lwork``,
+    ``overwrite_a``): f2py parses keywords at about the cost of a small
+    solve.
     """
     lwork = _LWORK.get(a.shape)
     if lwork is None:
@@ -202,7 +215,9 @@ def ols_sandwich(X, y, hc1=False, rows=None):
     Parameters
     ----------
     X : (n, p) design matrix (leading intercept column by convention),
-        in any memory layout.
+        overwritten: it is factored in place when it is a column-major
+        float64 array, and copied to one by f2py otherwise.  It must be
+        writeable; the caller does not read it again.
     y : (n,) response.  X and y must be finite; the callers check
         that, by the checking rule of :mod:`impactreg.regression`, so
         the kernel does not.
@@ -223,10 +238,12 @@ def ols_sandwich(X, y, hc1=False, rows=None):
     ``pivots[rank]`` names a dependent column.  The call runs on one BLAS
     thread (see the module docstring).
     """
+    if not X.flags.writeable:
+        raise ValueError("the kernel factors X in place: X is read-only")
     with _ONE_BLAS_THREAD:
-        # X P = Q R: dgeqp3 leaves R in the upper triangle of its
-        # column-major copy of X and the Householder vectors below it
-        factor, piv, tau = _factor(np.array(X, dtype=float, order="F"))
+        # X P = Q R: dgeqp3 leaves R in the upper triangle of X and the
+        # Householder vectors below it
+        factor, piv, tau = _factor(X)
         n, p = factor.shape
         piv -= 1  # LAPACK numbers columns from 1
         # p Python floats: counted faster than as an array at these sizes

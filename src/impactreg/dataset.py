@@ -1,4 +1,9 @@
-"""Column-labeled numeric data matrix used throughout the package."""
+"""Column-labeled numeric data matrix used throughout the package.
+
+The table is held column-major, so each column is one contiguous block:
+the ordering and the hierarchy's steps refill their designs from it
+column by column, and each copy is one block move.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +20,9 @@ class Dataset:
 
     Column 0 is conventionally (but not necessarily) the response.
     Instances are immutable: ``values`` is read-only, and the transforms
-    of :mod:`impactreg.transforms` return a new dataset.
+    of :mod:`impactreg.transforms` return a new dataset.  ``values`` is
+    column-major: an array given in another layout or dtype is copied
+    once, and a column-major float64 array is kept, and made read-only.
     """
 
     column_names: tuple[str, ...]
@@ -24,7 +31,7 @@ class Dataset:
 
     def __post_init__(self):
         names = tuple(str(c) for c in self.column_names)
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float, order="F")
         if values.ndim != 2:
             raise DimensionMismatch("values must be a 2-d array")
         if values.shape[1] != len(names):
@@ -60,11 +67,12 @@ class Dataset:
 
     def design(self, columns) -> np.ndarray:
         """The column-major design ``[1, columns...]``: an intercept, then
-        the named columns.
+        the named columns, in a new array that the caller owns.
 
         Each column is copied straight into its place, with no row-major
         copy of the selection on the way: ``columns(names)`` followed by
-        a column-major copy holds two copies at once.
+        a column-major copy holds two copies at once.  The kernel factors
+        the design in place.
         """
         design = np.empty((self.n, len(columns) + 1), order="F")
         design[:, 0] = 1.0

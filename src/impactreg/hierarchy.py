@@ -11,18 +11,23 @@ Each function checks its whole input once, by the checking rule of
 :mod:`impactreg.regression`, before any work; a ``Dataset``'s values
 were checked when it was built.
 
-The ordering works in one column-major (n, q+1) buffer, filled straight
-from the candidates' source (the dataset's table or the caller's array),
-laid out as ``[1 | picks, raw, in pick order | remaining candidates,
-centred, in position order]``.  On each pick, the centred columns before
-the pick shift one place right, over its slot, and the pick's raw
-column goes in at the boundary.  Each correlation pass reads the
-remaining candidates as one contiguous slice, in position order, and
-each residualization fits the leading ``[1 | picks]`` slice.  The steps
-fit leading slices of one column-major design ``[1, focus,
-ordered...]``, which ``run_hierarchy`` builds once from the dataset.
-Either way the kernel's copy of each slice is one contiguous block, and
-no other copy of the table is made.  Both loops ask only for what they
+The kernel factors each design in place (see :mod:`impactreg.backend`),
+so each loop fits leading slices of one column-major buffer of its own
+and fills a slice from a column-major source just before the fit.  The
+source is never written: it is the dataset's table, or, for the array
+forms, a column-major copy of the caller's arrays (the candidates
+themselves, if they are column-major float64 already).  Apart from that
+copy and the buffer, no copy of the table is made.
+
+The ordering's buffer, (n, q+1), is laid out as ``[1 | picks, raw, in
+pick order | remaining candidates, centred, in position order]``.  On
+each pick, the centred columns before the pick shift one place right,
+over its slot; then ``[1 | picks]`` is refilled from the source, the
+pick's raw column at the boundary, and fitted.  Each correlation pass
+reads the remaining candidates as one contiguous slice, in position
+order, which no fit touches.  The steps' buffer is (n, q+2): each step
+fills its leading slice with its design ``[1, focus, first ordered
+candidates]`` and fits it.  Both loops ask only for what they
 read: the ordering's residualizations call the kernel for no covariance
 row (``rows=()``), and each step is ``regression``'s one-coefficient
 test of the focus (``rows=(1,)``).  By the kernel's row contract (see
@@ -40,7 +45,7 @@ import numpy as np
 from . import backend
 from .dataset import Dataset
 from .errors import DegenerateCovariate, DimensionMismatch, InvalidConfig
-from .regression import _focus_test, _norm, _validate
+from .regression import _default_names, _focus_test, _norm, _validate
 
 
 @dataclass(frozen=True)
@@ -79,23 +84,41 @@ def order_indices(x_focus, candidates):
         raise DimensionMismatch(
             "x_focus must be 1-d and the candidates 2-d, with as many rows")
     n, q = candidates.shape
-    # one assignment fills the buffer, whatever the candidates' layout,
-    # and the check reads its contiguous columns
+    # the raw candidates, column-major: the fits' prefixes are refilled
+    # from it, and it is never written
+    source = np.asfortranarray(candidates)
     buffer = np.empty((n, q + 1), order="F")
     buffer[:, 0] = 1.0
-    buffer[:, 1:] = candidates
-    x_focus, _, _ = _validate(x_focus, buffer[:, 1:])
-    return _order(x_focus, buffer, candidates, range(q))
+    buffer[:, 1:] = source
+    x_focus, _, _ = _validate(x_focus, source)
+    return _order(x_focus, buffer, source, np.arange(q))
+
+
+def _refill(design, source, columns):
+    """Write ``[1, source[:, columns]...]`` over the column-major
+    ``design``, one column wider than ``columns``, which the fit before
+    factored in place.
+
+    ``source`` is column-major, so its columns are the rows of the
+    row-major ``source.T``, and one ``take`` gathers them straight into
+    the rows of ``design.T``, with no copy of the selection on the way.
+    Its ``clip`` mode (the positions are in range) lets ``take`` write
+    into ``design`` itself; the default mode writes to a temporary first.
+    """
+    rows = design.T
+    rows[0] = 1.0
+    # by position: axis, out, mode
+    source.T.take(columns, 0, rows[1:], "clip")
 
 
 def _order(x_focus, buffer, source, columns):
-    """The ordering of the candidates ``source[:, j] for j in columns``,
-    as positions in ``columns``.
+    """The ordering of the candidates ``source[:, columns]``, as positions
+    in ``columns`` (an integer array).
 
     ``buffer`` is the column-major ``[1, candidates...]``, which becomes
-    the buffer of the module docstring; the pick's raw columns are read
-    again from ``source``.  The input is known to be finite and to agree
-    in rows.
+    the buffer of the module docstring.  ``source`` is column-major and
+    never written: each fit's ``[1 | picks]`` is refilled from it.  The
+    input is known to be finite and to agree in rows.
     """
     n = x_focus.shape[0]
     q = len(columns)
@@ -132,6 +155,7 @@ def _order(x_focus, buffer, source, columns):
         flat = buffer.reshape(-1, order="F")
         remaining = list(range(q))
         order: list[int] = []
+        picks = np.empty(q, dtype=np.intp)  # their source columns
         resid = x_focus - np.add.reduce(x_focus) / n
         # a degenerate residual direction divides 0 by 0, and the nan is
         # handled below; the residualizations inside divide nothing, so
@@ -151,6 +175,7 @@ def _order(x_focus, buffer, source, columns):
                     j = int(corr.argmin())
                 pick = remaining.pop(j)
                 order.append(pick)
+                picks[k] = columns[pick]
                 # the j columns before the pick, and their norms, shift
                 # one place right over its slot; an overlapping 1-d move
                 # runs as memmove, with no copy
@@ -161,11 +186,12 @@ def _order(x_focus, buffer, source, columns):
                 if n <= p:
                     # no row is left to explain the focus with
                     break
-                # the pick's raw column goes in at the boundary
-                buffer[:, k + 1] = source[:, columns[pick]]
-                # only the residuals are read, so the kernel stops there
-                resid = backend.ols_sandwich(buffer[:, :p], x_focus,
-                                             rows=())[1]
+                # the last fit overwrote [1 | picks]: refill it, the
+                # pick's raw column at the boundary.  Only the residuals
+                # are read, so the kernel stops there
+                prefix = buffer[:, :p]
+                _refill(prefix, source, picks[:k + 1])
+                resid = backend.ols_sandwich(prefix, x_focus, rows=())[1]
                 if resid is None:
                     # rank < p: the focus is now fully explained
                     break
@@ -184,7 +210,7 @@ def order_covariates(focus, candidates, data: Dataset):
     if not candidates:
         raise InvalidConfig("need at least one candidate covariate")
     perm = _order(data.column(focus), data.design(candidates), data.values,
-                  [data.index(c) for c in candidates])
+                  np.array([data.index(c) for c in candidates], dtype=np.intp))
     return [candidates[j] for j in perm]
 
 
@@ -230,30 +256,42 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
             "x_focus must be 1-d and the ordered candidates 2-d, with as "
             "many rows")
     n, q = ordered.shape
-    design = np.empty((n, q + 2), order="F")
-    design[:, 0] = 1.0
-    design[:, 1] = x_focus
-    design[:, 2:] = ordered
-    return _steps(y, design, alpha, include_bivariate, flavor, reference)
+    # the steps' source: the column-major [x_focus, ordered...]
+    source = np.empty((n, q + 1), order="F")
+    source[:, 0] = x_focus
+    source[:, 1:] = ordered
+    return _steps(y, source, np.arange(q + 1), alpha, include_bivariate,
+                  flavor, reference)
 
 
-def _steps(y, design, alpha, include_bivariate, flavor, reference,
+def _steps(y, source, columns, alpha, include_bivariate, flavor, reference,
            column_names=None):
-    """The step loop of :func:`hierarchy_pvalues` on the column-major
-    design ``[1, x_focus, ordered...]``, checked here as a whole; every
-    step fits a leading slice of it."""
-    y, design, column_names = _validate(y, design, flavor, column_names)
+    """The step loop of :func:`hierarchy_pvalues` on the design
+    ``[1, source[:, columns]...]``, that is ``[1, x_focus, ordered...]``.
+
+    ``source`` is column-major and never written; it is checked here as
+    a whole, with y and the flavor.  Each step builds its leading slice
+    of the design in one column-major buffer, which the kernel factors
+    in place.  ``column_names`` name the design's columns, by default
+    ``x0``, ``x1``, ...
+    """
+    y, _, _ = _validate(y, source, flavor)
+    if column_names is None:
+        column_names = _default_names(len(columns) + 1)
     response_norm = _norm(y)
-    steps = design.shape[1] - 1 if include_bivariate else design.shape[1] - 2
+    design = np.empty((y.shape[0], len(columns) + 1), order="F")
+    steps = len(columns) if include_bivariate else len(columns) - 1
     pvalues: list = [None] * steps
     rejected = 0
     first = 2 if include_bivariate else 3
     # one cap for all the steps' fits (see backend)
     with backend._ONE_BLAS_THREAD:
         for step in range(steps):
-            pvalue = _focus_test(y, design[:, :first + step], 1,
-                                 column_names, flavor, reference,
-                                 response_norm).p_value
+            p = first + step
+            prefix = design[:, :p]
+            _refill(prefix, source, columns[:p - 1])
+            pvalue = _focus_test(y, prefix, 1, column_names, flavor,
+                                 reference, response_norm).p_value
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1
@@ -281,9 +319,11 @@ def run_hierarchy(y_col, focus, candidates, data: Dataset, alpha=0.05,
         if not include_bivariate:
             raise InvalidConfig(
                 "no candidates and no bivariate step: nothing to test")
-    pvalues, rejected = _steps(
-        y, data.design([focus, *ordering]), alpha, include_bivariate,
-        flavor, reference, ("intercept", focus, *ordering))
+    columns = np.array([data.index(c) for c in (focus, *ordering)],
+                       dtype=np.intp)
+    pvalues, rejected = _steps(y, data.values, columns, alpha,
+                               include_bivariate, flavor, reference,
+                               ("intercept", focus, *ordering))
     confounders = max(0, rejected - 1) if include_bivariate else rejected
     return HierarchyResult(
         focus=focus,

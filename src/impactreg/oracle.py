@@ -232,7 +232,9 @@ def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
     (V - q t^2)(1 + q P / A^2), so it is >= 0.  Once n >= max b the
     truncation stops binding (r = 0), eta_n = 1 and R is constant, equal
     to the mean impact; so a binding ``n_cap`` returns R(n_cap), which
-    may fall short of it.  The cost does not depend on the units of Y.
+    may fall short of it.  The cost does not depend on the units of Y,
+    and neither does the zero test: a mean impact of at most 1e-15 times
+    the largest |E(Y | X)| is rounding, and returns ``(0.0, 0.0)``.
     """
     if n_cap < 1:
         raise OutOfRange("n_cap must be >= 1")
@@ -240,7 +242,9 @@ def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
     ey = float(np.dot(w, h))
     dhat = h - ey
     iota = math.sqrt(max(float(np.dot(w, dhat ** 2)), 0.0))
-    if iota <= 1e-15:
+    # a mean impact within rounding of 0: dhat = E(Y|X) - E(Y) is exact
+    # to a few ulps of the largest |E(Y|X)|, so the cut-off has Y's units
+    if iota <= 1e-15 * float(np.abs(h).max()):
         return 0.0, 0.0
     d_plus = np.maximum(dhat, 0.0)
     d_minus = np.maximum(-dhat, 0.0)

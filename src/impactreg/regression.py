@@ -8,26 +8,36 @@ checks nothing, so every input from outside the package passes
 ``_validate`` once before any work: y is 1-d and X 2-d with y's rows,
 both finite, the sandwich flavor is HC0 or HC1 and the column names, if
 given, name every column of X.  ``fit_ols``, ``residualize``, the
-one-coefficient route ``_coefficient_test`` (``slope_identity_check``,
-impact's tests), ``hierarchy.order_indices`` and the hierarchy's step
-loop (``hierarchy_pvalues``, ``run_hierarchy``) each call it once, on
-their whole input.  Only data already known to be finite skip it:
-``simulate``'s full-model comparator, whose data are finite by
-construction once ``SimConfig`` has bounded the coefficients, and the
-ordering of ``hierarchy.order_covariates``, which reads a ``Dataset``,
-checked when it was built.  The row count is the one
-rule left to each fit, ``n > p`` at the fit's own width, so a hierarchy
-can stop early on a short sample before p reaches n.
+one-coefficient routes ``_coefficient_test`` and ``_test_in_place``
+(``slope_identity_check``, impact's tests), ``hierarchy.order_indices``
+and the hierarchy's step loop (``hierarchy_pvalues``,
+``run_hierarchy``) each call it once, on their whole input.  Only data
+already known to be finite skip it: ``simulate``'s full-model
+comparator, whose data are finite by construction once ``SimConfig``
+has bounded the coefficients, and the ordering of
+``hierarchy.order_covariates``, which reads a ``Dataset``, checked when
+it was built.  The row count is the one rule left to each fit, ``n >
+p`` at the fit's own width, so a hierarchy can stop early on a short
+sample before p reaches n.
 
 Every fit then goes through ``_fit``, which calls the column-pivoted QR
 kernel once, asking it only for the covariance rows its caller reads:
 ``fit_ols`` takes them all, ``residualize`` none, and ``_focus_test``,
 the one home of the test of a single coefficient (the hierarchy's
-steps, the comparator, ``_coefficient_test``), only the tested
-coefficient's.  Every test, on any route, is decided by
+steps, the comparator, ``_coefficient_test``, ``_test_in_place``), only
+the tested coefficient's.  Every test, on any route, is decided by
 ``_white_test``, so the exact-fit and zero-SE rule exists once,
 and from the same bits: a row's variances do not depend on the other
 rows asked for (the row contract of :mod:`impactreg.backend`).
+
+The kernel factors the design it is given in place.  A design from
+outside the package is copied once, to column-major order, where it
+enters: ``fit_ols`` and ``_coefficient_test`` copy it, so the caller's
+arrays are never written.  A design the package builds itself is handed
+over as it is, with no second copy: ``residualize`` fits
+``Dataset.design``, ``_test_in_place`` takes impact's designs and
+``slope_identity_check``'s, and the hierarchy and the comparator call
+``_focus_test`` on buffers they own.
 """
 
 from __future__ import annotations
@@ -144,8 +154,8 @@ def _fit(y, X, column_names, flavor, rows):
 
     Checks n > p, calls ``backend.ols_sandwich`` once with ``rows`` (the
     covariance rows read), and raises ``RankDeficient`` naming the
-    dependent column.  X is passed on in its own layout: the kernel makes
-    the one column-major copy.  Returns
+    dependent column.  The kernel factors X in place: X is a column-major
+    float64 buffer that the caller owns and does not read again.  Returns
     ``(coef, resid, classical, sandwich)``.
     """
     n, p = X.shape
@@ -163,8 +173,10 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
 
     Raises ``RankDeficient`` naming the dependent column when X is not of
     full column rank at relative pivot tolerance ``backend.RANK_TOL``.
+    The kernel fits a column-major copy of X, so X is left as it was.
     """
-    y, X, column_names = _validate(y, X, flavor, column_names)
+    y, X, column_names = _validate(y, np.array(X, dtype=float, order="F"),
+                                   flavor, column_names)
     coef, resid, classical, sandwich = _fit(y, X, column_names, flavor, None)
     return FitResult(
         column_names=column_names,
@@ -222,7 +234,16 @@ def _focus_test(y, X, index, column_names, flavor, reference,
 
 def _coefficient_test(y, X, index, column_names=None, flavor="HC0",
                       reference="student_t"):
-    """``_focus_test`` on input from outside the package, checked first."""
+    """``_focus_test`` on input from outside the package, checked first;
+    the kernel fits a column-major copy of X, so X is left as it was."""
+    return _test_in_place(y, np.array(X, dtype=float, order="F"), index,
+                          column_names, flavor, reference)
+
+
+def _test_in_place(y, X, index, column_names=None, flavor="HC0",
+                   reference="student_t"):
+    """``_focus_test`` on a checked y and a design the caller built and
+    gives up: the kernel factors the column-major float64 X in place."""
     y, X, column_names = _validate(y, X, flavor, column_names)
     return _focus_test(y, X, index, column_names, flavor, reference,
                        _norm(y))

@@ -29,8 +29,7 @@ from . import backend
 from .dataset import Dataset
 from .errors import ImpactregError, InvalidConfig
 from .hierarchy import hierarchy_pvalues, order_indices
-from .regression import (_coefficient_test, _default_names, _focus_test,
-                         _norm)
+from .regression import _default_names, _focus_test, _norm, _test_in_place
 
 # beta per m used in the tables (R^2_x about 0.8 at k = m - 1)
 TABLE_BETA = {5: 1.00, 8: 0.75, 10: 0.65, 20: 0.45, 50: 0.30}
@@ -261,7 +260,7 @@ def _replicate(config: SimConfig, replication_index: int):
             first_true_step += 1
         false_reject = rejected >= first_true_step
 
-        # column-major, so the kernel's copy of it is one block.  The
+        # column-major, so the kernel factors it where it lies.  The
         # generated data are finite by construction (see SimConfig), so
         # they skip regression's input check
         design = np.empty((config.n, config.m + 1), order="F")
@@ -372,7 +371,11 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     else:
         raise InvalidConfig(f"unknown model {model!r}")
 
-    X = np.column_stack([np.ones(n), x1, x2])
-    test = _coefficient_test(y, X, 1)
+    # built column-major, so the kernel factors it where it lies
+    X = np.empty((n, 3), order="F")
+    X[:, 0] = 1.0
+    X[:, 1] = x1
+    X[:, 2] = x2
+    test = _test_in_place(y, X, 1)
     return SlopeIdentity(estimate=test.estimate, target=target,
                          std_error=test.std_error)

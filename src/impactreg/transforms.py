@@ -7,14 +7,17 @@ scanner, which is the reference for every value and the only source of
 parse errors.  Non-seekable streams go to the strict scanner directly.
 
 Transforms are applied in order, and the input dataset is never
-modified.  The steps share one working copy of the values: the
-exclusion's copy, or else the one made by the first step that writes.
-``log``, ``standardize`` and ``dichotomize`` write their column into it
-in place, and augmentation steps append columns to it, which makes a
-new copy.  Each step checks the columns it writes, so an error is
-raised by the step that causes it, and the result is built into a
-``Dataset`` once, at the end.  Missing values are a hard error (the
-estimators assume complete i.i.d. rows).
+modified.  The steps share one working copy of the values, column-major
+like a ``Dataset``'s: the exclusion's copy, written column by column
+with no row-major copy on the way, or else the one made by the first
+step that writes.  ``log``, ``standardize`` and ``dichotomize`` write
+their column into it in place, and augmentation steps append columns to
+it, which makes a new column-major copy.  Each step checks the columns
+it writes, so an error is raised by the step that causes it, and the
+result is built into a ``Dataset`` once, at the end, with no copy.
+``read_csv`` converts the row-major table ``np.loadtxt`` returns to
+column-major once, when it builds the ``Dataset``.  Missing values are
+a hard error (the estimators assume complete i.i.d. rows).
 """
 
 from __future__ import annotations
@@ -236,7 +239,7 @@ def _replace_column(names, values, label, column):
     """
     _check_finite(column)
     if not values.flags.writeable:
-        values = values.copy()
+        values = values.copy(order="F")
     values[:, names.index(label)] = column
     return names, values
 
@@ -251,14 +254,20 @@ def _exclude_rows(names, values, step, log):
         raise InvalidConfig("threshold must be finite")
     drop = comparator(column, threshold)
     keep = ~drop
-    if keep.sum() < 2:
+    rows = int(keep.sum())
+    if rows < 2:
         raise EmptyAfterExclusion(
-            f"exclusion on {step['column']!r} leaves {int(keep.sum())} rows")
+            f"exclusion on {step['column']!r} leaves {rows} rows")
     log.append(f"exclude_rows({step['column']} {step['comparator']} "
                f"{threshold}): dropped {int(drop.sum())} of "
                f"{values.shape[0]} rows")
-    # a new, writable array: the later writes land in it
-    return names, values[keep]
+    # a new, writable array: the later writes land in it.  Each column
+    # is gathered straight into its place: values[keep] would be
+    # row-major, and a Dataset would copy it once more
+    kept = np.empty((rows, values.shape[1]), order="F")
+    for j in range(values.shape[1]):
+        kept[:, j] = values[:, j][keep]
+    return names, kept
 
 
 def _log(names, values, step, log):
@@ -308,7 +317,10 @@ def _append_columns(names, values, added, columns):
     if len(set(names)) != len(names):
         raise DimensionMismatch("duplicate column names")
     _check_finite(columns)
-    return names, np.hstack([values, columns])
+    table = np.empty((values.shape[0], len(names)), order="F")
+    table[:, :values.shape[1]] = values
+    table[:, values.shape[1]:] = columns
+    return names, table
 
 
 def _augment_quadratic(names, values, step, log):

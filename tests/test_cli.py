@@ -255,8 +255,10 @@ class TestAnalyze:
         assert "a candidate covariate is constant" in capsys.readouterr().err
 
     def test_working_set_of_a_hierarchy_with_transforms(self, tmp_path):
-        # the request holds the table, one working copy of it and the
-        # ordering's and the steps' designs, not a staging copy per stage
+        # the request holds the table and one buffer at every stage: the
+        # parsed rows and their column-major copy, the input and the
+        # transforms' working copy, then the ordering's buffer and the
+        # steps' design, which the kernel factors in place (2.2x measured)
         rows = 20_000
         rng = np.random.default_rng(17)
         c = rng.standard_normal((rows, 10))
@@ -288,7 +290,7 @@ class TestAnalyze:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 3.5 * values.nbytes, peak / values.nbytes
+        assert peak <= 2.5 * values.nbytes, peak / values.nbytes
 
 
 class TestSimulate:

@@ -176,12 +176,13 @@ class TestPopulationTheta:
 def grid_ratios(joint, n_cap=10 ** 6):
     """``(ratios, iota)``: the ratio at n = 1, ..., N that the oracle's
     former scan evaluated, one Python pass per n (None where SD(delta_n)
-    is 0), and the mean impact; ``ratios`` is None when iota is 0."""
+    is 0), and the mean impact; ``ratios`` is None when iota is 0 up to
+    rounding, by the oracle's zero test, relative to the largest |E(Y|X)|."""
     _, w, h, _ = _conditional_mean_y(joint, list(range(joint.m)))
     ey = float(np.dot(w, h))
     dhat = h - ey
     iota = math.sqrt(max(float(np.dot(w, dhat ** 2)), 0.0))
-    if iota <= 1e-15:
+    if iota <= 1e-15 * float(np.abs(h).max()):
         return None, 0.0
     d_plus = np.maximum(dhat, 0.0)
     d_minus = np.maximum(-dhat, 0.0)
@@ -251,6 +252,21 @@ class TestConstrainedSup:
         joint = uniform_joint([(0, -1), (1, -1), (0, 1), (1, 1)])
         sup, iota = constrained_sup_check(joint)
         assert sup == 0.0 and iota == 0.0
+
+    @pytest.mark.parametrize("scale", [1, 30, 1e5, 1e-30])
+    def test_zero_impact_is_zero_in_any_units(self, scale):
+        # one covariate group whose weights sum to 1 - 1.1e-16: E(Y|X) is
+        # E(Y), and iota is one ulp of E(Y), 7.3e-12 at Y x 1e5
+        joint = scaled_joint(147, scale)
+        assert len(np.unique(joint.x, axis=0)) == 1
+        assert constrained_sup_check(joint) == (0.0, 0.0)
+
+    def test_small_units_keep_a_positive_impact(self):
+        # Y in units of 1e-20: a mean impact of 1e-21 is no rounding
+        joint = uniform_joint([(1e-20, -1), (0.8e-20, 1)])
+        sup, iota = constrained_sup_check(joint)
+        assert iota == pytest.approx(1e-21, rel=1e-12, abs=0.0)
+        assert sup == pytest.approx(iota, rel=1e-10, abs=0.0)
 
     def test_bounded_response_attains_impact(self):
         # small disturbances: truncation never binds, ratio equals iota

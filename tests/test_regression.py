@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,41 @@ class TestKernelDifferential:
             assert got[2] is None and got[3] is None
             assert (rank < p) == deficient
             assert_same_bits(got, (coef, resid, None, None, rank, piv))
+
+
+class TestKernelInPlace:
+    """The kernel factors a column-major float64 design where it lies."""
+
+    def test_no_copy_of_a_tall_design(self):
+        X, y = TestKernelDifferential.random_problem(0, 20_000, 8)
+        want = backend.ols_sandwich(X, y, False, (1,))  # f2py's copy
+        X = np.asfortranarray(X)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = backend.ols_sandwich(X, y, False, (1,))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert_same_bits(got, want)
+        # y, its residual and one covariance row: three columns' worth
+        assert peak < 0.5 * X.nbytes, peak / X.nbytes
+        # R and the reflectors are where X was
+        assert not np.array_equal(X[:, 0], 1.0)
+
+    def test_refuses_a_read_only_design(self):
+        # f2py would let LAPACK write through the read-only flag
+        X, y = TestKernelDifferential.random_problem(1)
+        X = np.asfortranarray(X)
+        X.setflags(write=False)
+        before = X.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            backend.ols_sandwich(X, y)
+        assert X.tobytes() == before
 
 
 def blas_counts():

@@ -5,7 +5,9 @@ CSV), ``simulate`` (the seeded Monte Carlo study), ``figure``
 (plot-data emitter for the quadratic population approximation) and
 ``oracle-check`` (exact population parameters of a discrete joint).
 
-Exit codes: 0 success, 2 data/config error, 3 numerical error.
+Exit codes: 0 success, 3 numerical error (a ``NumericalError`` or
+numpy's ``LinAlgError``), 2 any other package error, a missing or
+unreadable file or bad JSON.
 """
 
 from __future__ import annotations
@@ -16,15 +18,12 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .errors import (DegenerateCovariate, EmptyAfterExclusion, EmptySupport,
-                     ImpactregError, InvalidConfig, InvariantViolation,
-                     NonFinite, NonPositiveLogInput, OutOfRange, ParseError,
-                     RankDeficient, SchemaMismatch, SingularMoments,
-                     UnknownColumn, ZeroStdError)
+from .errors import ImpactregError, InvalidConfig, NumericalError
 from .hierarchy import run_hierarchy
 from .impact import (linear_mean_impact, linear_mean_slope, mod_r2,
                      partial_linear_mean_impact, partial_linear_mean_slope)
@@ -34,14 +33,6 @@ from .simulate import TABLE_BETA, SimConfig, run_study
 from .transforms import TransformSpec, apply_transforms, read_csv
 
 SCHEMA_VERSION = 1
-
-_DATA_ERRORS = (ParseError, SchemaMismatch, UnknownColumn, InvalidConfig,
-                OutOfRange, EmptyAfterExclusion, NonPositiveLogInput,
-                FileNotFoundError, IsADirectoryError, PermissionError,
-                UnicodeDecodeError, json.JSONDecodeError)
-_NUMERICAL_ERRORS = (RankDeficient, DegenerateCovariate, ZeroStdError,
-                     SingularMoments, NonFinite, EmptySupport,
-                     InvariantViolation, np.linalg.LinAlgError)
 
 
 def _write_text(path, text):
@@ -176,7 +167,11 @@ def _cmd_analyze(args):
                          float(e.test.std_error) if e.test else None,
                          float(e.test.p_value) if e.test else None])
         if hierarchy:
-            for label, p in zip(hierarchy.ordering, hierarchy.step_pvalues):
+            # one row per step, named by the covariate it adds; the
+            # bivariate step adds none
+            added = (("",) if hierarchy.include_bivariate else ()) \
+                + hierarchy.ordering
+            for label, p in zip(added, hierarchy.step_pvalues, strict=True):
                 rows.append(["hierarchy_step", args.response, args.focus,
                              label, None, None,
                              float(p) if p is not None else None])
@@ -197,14 +192,11 @@ def _cmd_simulate(args):
                 f"no preset beta for m={args.m}; pass --beta explicitly")
         kwargs.update(m=args.m, k=args.m - 1, beta=beta, gamma=0.0,
                       theta1=0.0 if args.preset == "table1" else 0.4)
-    for name, value in [("m", args.m), ("k", args.k), ("beta", args.beta),
-                        ("gamma", args.gamma), ("theta1", args.theta1),
-                        ("n", args.n), ("replications", args.reps),
-                        ("alpha", args.alpha), ("seed", args.seed),
-                        ("include_bivariate", args.include_bivariate or None),
-                        ("flavor", args.flavor), ("reference", args.reference)]:
+    # each option's dest is the name of the SimConfig field it sets
+    for field in fields(SimConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            kwargs[name] = value
+            kwargs[field.name] = value
     config = SimConfig(**kwargs)
     threads = args.threads
     if threads is None:
@@ -373,7 +365,8 @@ def build_parser():
     ps.add_argument("--gamma", type=float, default=None)
     ps.add_argument("--theta1", type=float, default=None)
     ps.add_argument("--n", type=int, default=None)
-    ps.add_argument("--reps", type=int, default=None)
+    ps.add_argument("--reps", type=int, default=None, dest="replications",
+                    metavar="REPS")
     ps.add_argument("--alpha", type=float, default=None)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--threads", type=int, default=None)
@@ -412,13 +405,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"impactreg: numerical error: {exc}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
-        print(f"impactreg: error: {exc}", file=sys.stderr)
-        return 2
-    except ImpactregError as exc:
+    except (ImpactregError, FileNotFoundError, IsADirectoryError,
+            PermissionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"impactreg: error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,8 @@ class Dataset:
     Instances are immutable: ``values`` is read-only, and the transforms
     of :mod:`impactreg.transforms` return a new dataset.  ``values`` is
     column-major: an array given in another layout or dtype is copied
-    once, and a column-major float64 array is kept, and made read-only.
+    once, and so is a writeable one, so a caller's array is never frozen
+    under them.  A read-only column-major float64 array is kept.
     """
 
     column_names: tuple[str, ...]
@@ -32,6 +33,9 @@ class Dataset:
     def __post_init__(self):
         names = tuple(str(c) for c in self.column_names)
         values = np.asarray(self.values, dtype=float, order="F")
+        if values.flags.writeable and np.may_share_memory(values,
+                                                          self.values):
+            values = values.copy(order="F")
         if values.ndim != 2:
             raise DimensionMismatch("values must be a 2-d array")
         if values.shape[1] != len(names):

@@ -5,15 +5,24 @@ class ImpactregError(Exception):
     """Base class for all errors raised by impactreg."""
 
 
+class NumericalError(ImpactregError):
+    """The input is well formed, but the numbers admit no answer: a
+    singular design, a degenerate covariate or test, a non-finite value.
+
+    The command line exits with 3 for these and with 2 for every other
+    ``ImpactregError``.
+    """
+
+
 class DimensionMismatch(ImpactregError):
     pass
 
 
-class NonFinite(ImpactregError):
+class NonFinite(NumericalError):
     pass
 
 
-class RankDeficient(ImpactregError):
+class RankDeficient(NumericalError):
     """Design matrix is not of full column rank.
 
     The offending column label (or index) is stored in ``column``.
@@ -25,7 +34,7 @@ class RankDeficient(ImpactregError):
                                     "is linearly dependent on the preceding columns")
 
 
-class ZeroStdError(ImpactregError):
+class ZeroStdError(NumericalError):
     """A coefficient's robust test is degenerate.
 
     The coefficient itself is still estimated; it is stored in
@@ -37,7 +46,7 @@ class ZeroStdError(ImpactregError):
         super().__init__(message)
 
 
-class InvariantViolation(ImpactregError):
+class InvariantViolation(NumericalError):
     """Two routes to the same quantity disagree beyond rounding."""
 
 
@@ -47,15 +56,15 @@ class UnknownColumn(ImpactregError):
         super().__init__(f"unknown column {column!r}")
 
 
-class DegenerateCovariate(ImpactregError):
+class DegenerateCovariate(NumericalError):
     pass
 
 
-class EmptySupport(ImpactregError):
+class EmptySupport(NumericalError):
     pass
 
 
-class SingularMoments(ImpactregError):
+class SingularMoments(NumericalError):
     pass
 
 

@@ -38,7 +38,7 @@ bits of the ``fit_ols`` route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,15 +59,7 @@ class HierarchyResult:
     include_bivariate: bool
 
     def as_dict(self):
-        return {
-            "focus": self.focus,
-            "ordering": list(self.ordering),
-            "step_pvalues": list(self.step_pvalues),
-            "rejected_prefix": self.rejected_prefix,
-            "confounders_adjusted": self.confounders_adjusted,
-            "alpha": self.alpha,
-            "include_bivariate": self.include_bivariate,
-        }
+        return asdict(self)
 
 
 def order_indices(x_focus, candidates):

@@ -8,7 +8,7 @@ centring first: the one-pass E[a^2] - E[a]^2 cancels for data far from 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,14 +53,7 @@ class ImpactEstimate:
             "adjusted_for": list(self.adjusted_for),
         }
         if self.test is not None:
-            d["test"] = {
-                "estimate": self.test.estimate,
-                "std_error": self.test.std_error,
-                "statistic": self.test.statistic,
-                "p_value": self.test.p_value,
-                "reference": self.test.reference,
-                "dof": self.test.dof,
-            }
+            d["test"] = asdict(self.test)
         return d
 
 

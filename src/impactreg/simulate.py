@@ -148,18 +148,7 @@ class SimReport:
     failed_replications: int
 
     def as_dict(self):
-        return {
-            "config": self.config.as_dict(),
-            "type1_hierarchical": self.type1_hierarchical,
-            "type1_full": self.type1_full,
-            "mean_confounders_hier": self.mean_confounders_hier,
-            "mean_confounders_full": self.mean_confounders_full,
-            "reject_final_hier": self.reject_final_hier,
-            "reject_final_full": self.reject_final_full,
-            "mc_stderr_reject_hier": self.mc_stderr_reject_hier,
-            "mc_stderr_reject_full": self.mc_stderr_reject_full,
-            "failed_replications": self.failed_replications,
-        }
+        return asdict(self)
 
 
 # one generator per thread, reset by ``_rng`` for every stream it draws

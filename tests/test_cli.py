@@ -9,8 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from impactreg import cli, simulate, write_csv
+from impactreg import (cli, coefficient_test, errors, fit_ols,
+                       order_covariates, simulate, write_csv)
 from impactreg.cli import figure_coefficients, main
+from impactreg.regression import two_sided_pvalue
 from impactreg.simulate import SimConfig, generate_arrays, generate_dataset
 
 
@@ -78,6 +80,36 @@ class TestAnalyze:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("kind,target,focus")
         assert len(lines) == 4  # header + three estimates
+
+    @pytest.mark.parametrize("bivariate", [[], ["--include-bivariate"]],
+                             ids=["steps", "bivariate"])
+    @pytest.mark.parametrize("alpha", ["0.05", "0.999"])
+    def test_csv_hierarchy_rows_are_the_json_steps(self, tmp_path, bivariate,
+                                                   alpha):
+        # one row per step, named by the covariate the step adds (none for
+        # the bivariate step); at alpha 0.05 the steps stop after 'a'
+        rng = np.random.default_rng(11)
+        a, b, c, e1, e2 = rng.standard_normal((5, 300))
+        from impactreg.dataset import Dataset
+        path = tmp_path / "d.csv"
+        write_csv(Dataset(("y", "x1", "a", "b", "c"),
+                          np.column_stack([a + e2, a + 2 * b + e1, a, b, c])),
+                  path)
+        argv = ["analyze", "--data", str(path), "--response", "y",
+                "--focus", "x1", "--hierarchy", "--alpha", alpha, *bivariate]
+        assert run([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert run([*argv, "--format", "csv",
+                    "--out", str(tmp_path / "r.csv")]) == 0
+        steps = json.loads((tmp_path / "r.json").read_text())["hierarchy"]
+        rows = [line.split(",") for line
+                in (tmp_path / "r.csv").read_text().splitlines()
+                if line.startswith("hierarchy_step")]
+        assert [r[3] for r in rows] == \
+            [""] * len(bivariate) + steps["ordering"]
+        assert [r[6] for r in rows] == \
+            ["" if p is None else format(p, ".17g")
+             for p in steps["step_pvalues"]]
+        assert (None in steps["step_pvalues"]) == (alpha == "0.05")
 
     def test_transforms_applied(self, data_csv, tmp_path):
         spec = tmp_path / "t.json"
@@ -525,3 +557,107 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _transforms(*steps):
+    return ["--transforms", json.dumps(list(steps))]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--preset", "table2", "--m", "7"], 2,
+     "no preset beta for m=7"),
+    (["figure", "--dist", "exp:1,2", "--g", "quadratic:0,1,1",
+      "--grid", "0:1:5"], 2, "exponential distribution needs a positive rate"),
+    (["figure", "--dist", "normal:0,1", "--g", "quadratic:0,1",
+      "--grid", "0:1:5"], 2, "needs three coefficients"),
+    (["figure", "--dist", "normal:0,1", "--g", "quadratic:0,1,1",
+      "--grid", "0:1"], 2, "cannot parse grid '0:1'"),
+    (_transforms({"op": "exclude_rows", "column": "x2", "comparator": "~",
+                  "threshold": 0}), 2, "unknown comparator '~'"),
+    (_transforms({"op": "exclude_rows", "column": "x2", "comparator": ">",
+                  "threshold": "inf"}), 2, "threshold must be finite"),
+    (_transforms({"op": "log", "column": "x2", "offset": -1}), 2,
+     "log offset must be finite and >= 0"),
+    (_transforms({"op": "dichotomize", "column": "x2", "rule": "by_median",
+                  "value": 0}), 2, "unknown dichotomize rule 'by_median'"),
+    (_transforms({"op": "augment_quadratic", "columns": ["x2", "zz"]}), 2,
+     "unknown column 'zz'"),
+    (_transforms({"op": "dichotomize", "column": "x1", "value": 1e9}), 3,
+     "numerical error"),
+], ids=["preset-without-beta", "exp-two-rates", "quadratic-two-coefs",
+        "grid-without-steps", "unknown-comparator", "infinite-threshold",
+        "negative-log-offset", "unknown-dichotomize-rule",
+        "unknown-columns-entry", "constant-focus"])
+def test_error_branch_exit_code(data_csv, capsys, argv, code, message):
+    if argv[0] == "--transforms":
+        argv = ["analyze", "--data", str(data_csv), "--response", "y",
+                "--focus", "x1", *argv]
+    assert run(argv) == code
+    assert message in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+EXIT_CODES = {
+    errors.ImpactregError: 2, errors.DimensionMismatch: 2,
+    errors.UnknownColumn: 2, errors.OutOfRange: 2, errors.InvalidConfig: 2,
+    errors.ParseError: 2, errors.MissingValue: 2, errors.SchemaMismatch: 2,
+    errors.NonPositiveLogInput: 2, errors.EmptyAfterExclusion: 2,
+    errors.NumericalError: 3, errors.NonFinite: 3, errors.RankDeficient: 3,
+    errors.ZeroStdError: 3, errors.InvariantViolation: 3,
+    errors.DegenerateCovariate: 3, errors.EmptySupport: 3,
+    errors.SingularMoments: 3,
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    assert set(_subclasses(errors.ImpactregError)) \
+        | {errors.ImpactregError} == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_error_class_exit_code(monkeypatch, capsys, cls):
+    def fail(args):
+        # built without __init__: the classes take different arguments
+        raise cls.__new__(cls)
+    monkeypatch.setattr(cli, "_cmd_figure", fail)
+    assert run(["figure", "--dist", "-", "--g", "-", "--grid", "-"]) \
+        == EXIT_CODES[cls]
+    prefix = "numerical error" if EXIT_CODES[cls] == 3 else "error"
+    assert capsys.readouterr().err.startswith(f"impactreg: {prefix}:")
+
+
+def _design(n=20):
+    rng = np.random.default_rng(2)
+    return rng.standard_normal(n), np.column_stack(
+        [np.ones(n), rng.standard_normal(n)])
+
+
+@pytest.mark.parametrize("call, raised, code", [
+    (lambda: fit_ols(*_design(), flavor="HC2"), errors.InvalidConfig, 2),
+    (lambda: fit_ols(*_design(), column_names=("intercept",)),
+     errors.DimensionMismatch, 2),
+    (lambda: coefficient_test(fit_ols(*_design()), 2),
+     errors.DimensionMismatch, 2),
+    (lambda: coefficient_test(fit_ols(*_design()), -1),
+     errors.DimensionMismatch, 2),
+    (lambda: two_sided_pvalue(1.0, 10, reference="cauchy"),
+     errors.InvalidConfig, 2),
+    (lambda: order_covariates(
+        "x1", [], generate_dataset(SimConfig(m=3, k=2, n=20), 0)),
+     errors.InvalidConfig, 2),
+    (lambda: fit_ols(_design()[0], np.zeros((20, 2))),
+     errors.RankDeficient, 3),
+], ids=["unknown-flavor", "wrong-length-names", "index-past-the-end",
+        "negative-index", "unknown-reference", "no-candidates",
+        "all-zero-design"])
+def test_library_error_branch_exit_code(call, raised, code):
+    # branches the command line cannot reach, and the exit code their
+    # class gives
+    with pytest.raises(raised) as info:
+        call()
+    assert EXIT_CODES[type(info.value)] == code

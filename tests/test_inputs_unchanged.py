@@ -96,16 +96,16 @@ class TestArrayRoutes:
             layout, y, x1, cand)
 
     def test_dataset_routes(self, layout):
-        # a Dataset copies a table in any other layout to column-major,
-        # and freezes a column-major float64 one where it lies
+        # a Dataset keeps a read-only column-major float64 table where it
+        # lies, and copies any other, so a caller's array is never frozen
         y, x1, cand = problem()
         source = laid_out(np.column_stack([y, x1, cand]), layout)
-        kept = source.flags.f_contiguous and source.dtype == np.float64
+        kept = layout == "read-only"
         before = source.tobytes()
         data = Dataset(("y", "x1", "a", "b", "c", "d"), source)
         assert (data.values is source) == kept
         assert source.tobytes() == before
-        assert source.flags.writeable == (layout != "read-only" and not kept)
+        assert source.flags.writeable == (not kept)
         table = snapshot(data.values)
         residualize("x1", ["a", "b"], data)
         partial_linear_mean_impact("y", "x1", ["a", "b", "c"], data)

@@ -43,12 +43,12 @@ counts.
 The cap is depth-counted: only the outermost entry sets and restores the
 counts, and the calls nested in it set nothing.  It is entered once per
 chunk of replications by ``simulate._replicate_chunk`` (the serial study
-is one chunk), once per ordering by ``hierarchy.order_indices``, whose
+is one chunk), once per ordering by ``hierarchy._order``, whose
 correlation passes are the package's other matmuls on tall data, and
-once per hierarchy by ``hierarchy.hierarchy_pvalues``.  The only BLAS
-calls left outside the cap are the normal-equation solves and dot
-products of ``oracle``, which no ``analyze`` or ``simulate`` path
-reaches.
+once per hierarchy by ``hierarchy._steps``, the step loop that both
+``hierarchy_pvalues`` and ``run_hierarchy`` enter.  The only BLAS calls
+left outside the cap are the normal-equation solves and dot products of
+``oracle``, which no ``analyze`` or ``simulate`` path reaches.
 
 The kernel factors the design it is given in place.  ``dgeqp3``
 overwrites X with R and its Householder vectors, and the kernel never

@@ -13,6 +13,8 @@ unreadable file or bad JSON.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -49,12 +51,14 @@ def _json_report(report):
 
 
 def _csv_rows(header, rows):
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join("" if v is None else
-                            (format(v, ".17g") if isinstance(v, float) else str(v))
-                            for v in row))
-    return "\n".join(out) + "\n"
+    # quoted as transforms.write_csv quotes, since a label may hold a
+    # comma; the writer writes None as an empty field
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    return out.getvalue()
 
 
 def _number(text, what, convert=float):

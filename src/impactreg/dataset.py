@@ -21,9 +21,12 @@ class Dataset:
     Column 0 is conventionally (but not necessarily) the response.
     Instances are immutable: ``values`` is read-only, and the transforms
     of :mod:`impactreg.transforms` return a new dataset.  ``values`` is
-    column-major: an array given in another layout or dtype is copied
-    once, and so is a writeable one, so a caller's array is never frozen
-    under them.  A read-only column-major float64 array is kept.
+    column-major.  A given array is kept only when nothing else can write
+    it: a read-only column-major float64 array that owns its memory.
+    Anything else is copied once: another layout or dtype, a writeable
+    array, which is never frozen under its caller, and a view, whose
+    base could be written.  So the values are checked once, here, and
+    the package trusts them after.
     """
 
     column_names: tuple[str, ...]
@@ -32,10 +35,11 @@ class Dataset:
 
     def __post_init__(self):
         names = tuple(str(c) for c in self.column_names)
-        values = np.asarray(self.values, dtype=float, order="F")
-        if values.flags.writeable and np.may_share_memory(values,
-                                                          self.values):
-            values = values.copy(order="F")
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.base is None
+                and values.dtype == np.float64 and values.flags.f_contiguous
+                and not values.flags.writeable):
+            values = np.array(values, dtype=float, order="F")
         if values.ndim != 2:
             raise DimensionMismatch("values must be a 2-d array")
         if values.shape[1] != len(names):

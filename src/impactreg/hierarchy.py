@@ -7,9 +7,12 @@ k tests the focus coefficient, with White's robust test, in the
 regression of y on the focus plus the first k ordered covariates;
 testing stops at the first non-rejection.
 
-Each function checks its whole input once, by the checking rule of
-:mod:`impactreg.regression`, before any work; a ``Dataset``'s values
-were checked when it was built.
+The array forms, ``order_indices`` and ``hierarchy_pvalues``, check
+their whole input once, at entry, by the checking rule of
+:mod:`impactreg.regression`; the label forms read a ``Dataset``, whose
+values were checked when it was built, and check no array again.  The
+step loop checks its level and that there is a step to test, so both
+forms reject the same calls.
 
 The kernel factors each design in place (see :mod:`impactreg.backend`),
 so each loop fits leading slices of one column-major buffer of its own
@@ -69,12 +72,7 @@ def order_indices(x_focus, candidates):
     are broken by the smallest column position.  If a residualization
     collapses, the remaining candidates are appended in position order.
     """
-    x_focus = np.asarray(x_focus, dtype=float)
-    candidates = np.asarray(candidates, dtype=float)
-    if (x_focus.ndim != 1 or candidates.ndim != 2
-            or x_focus.shape[0] != candidates.shape[0]):
-        raise DimensionMismatch(
-            "x_focus must be 1-d and the candidates 2-d, with as many rows")
+    x_focus, candidates, _ = _validate(x_focus, candidates)
     n, q = candidates.shape
     # the raw candidates, column-major: the fits' prefixes are refilled
     # from it, and it is never written
@@ -82,7 +80,6 @@ def order_indices(x_focus, candidates):
     buffer = np.empty((n, q + 1), order="F")
     buffer[:, 0] = 1.0
     buffer[:, 1:] = source
-    x_focus, _, _ = _validate(x_focus, source)
     return _order(x_focus, buffer, source, np.arange(q))
 
 
@@ -236,9 +233,9 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     leading slice of the design, and so, by the kernel's row contract
     (see :mod:`impactreg.backend`), the same bits as
     ``coefficient_test(fit_ols(...), 1)``.  The whole input is checked
-    up front, by the checking rule of :mod:`impactreg.regression`, so a
+    at entry, by the checking rule of :mod:`impactreg.regression`, so a
     non-finite column raises ``NonFinite`` even where the steps would
-    stop before it; only ``n > p`` is left to each step.
+    stop before it; the flavor and ``n > p`` are left to each step's fit.
     """
     x_focus = np.asarray(x_focus, dtype=float)
     ordered = np.asarray(ordered, dtype=float)
@@ -252,6 +249,7 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
     source = np.empty((n, q + 1), order="F")
     source[:, 0] = x_focus
     source[:, 1:] = ordered
+    y, _, _ = _validate(y, source)
     return _steps(y, source, np.arange(q + 1), alpha, include_bivariate,
                   flavor, reference)
 
@@ -261,18 +259,24 @@ def _steps(y, source, columns, alpha, include_bivariate, flavor, reference,
     """The step loop of :func:`hierarchy_pvalues` on the design
     ``[1, source[:, columns]...]``, that is ``[1, x_focus, ordered...]``.
 
-    ``source`` is column-major and never written; it is checked here as
-    a whole, with y and the flavor.  Each step builds its leading slice
-    of the design in one column-major buffer, which the kernel factors
-    in place.  ``column_names`` name the design's columns, by default
-    ``x0``, ``x1``, ...
+    y and ``source`` are checked already; ``source`` is column-major and
+    never written.  Raises ``InvalidConfig`` for an alpha outside (0, 1]
+    and when there is no step to test.  Each step builds its leading
+    slice of the design in one column-major buffer, which the kernel
+    factors in place.  ``column_names`` name the design's columns, by
+    default ``x0``, ``x1``, ...
     """
-    y, _, _ = _validate(y, source, flavor)
+    # false for nan too; alpha = 1 evaluates every step
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidConfig(f"alpha must be in (0, 1], got {alpha}")
+    steps = len(columns) if include_bivariate else len(columns) - 1
+    if steps < 1:
+        raise InvalidConfig(
+            "no candidates and no bivariate step: nothing to test")
     if column_names is None:
         column_names = _default_names(len(columns) + 1)
     response_norm = _norm(y)
     design = np.empty((y.shape[0], len(columns) + 1), order="F")
-    steps = len(columns) if include_bivariate else len(columns) - 1
     pvalues: list = [None] * steps
     rejected = 0
     first = 2 if include_bivariate else 3
@@ -304,13 +308,9 @@ def run_hierarchy(y_col, focus, candidates, data: Dataset, alpha=0.05,
         if sorted(ordering) != sorted(candidates):
             raise InvalidConfig(
                 "pre-specified ordering must permute the candidates")
-    elif candidates:
-        ordering = order_covariates(focus, candidates, data)
     else:
-        ordering = []
-        if not include_bivariate:
-            raise InvalidConfig(
-                "no candidates and no bivariate step: nothing to test")
+        ordering = (order_covariates(focus, candidates, data)
+                    if candidates else [])
     columns = np.array([data.index(c) for c in (focus, *ordering)],
                        dtype=np.intp)
     pvalues, rejected = _steps(y, data.values, columns, alpha,

@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (DegenerateCovariate, DimensionMismatch,
                      InvariantViolation, NonFinite, ZeroStdError)
-from .regression import CoefficientTest, _test_in_place, residualize
+from .regression import CoefficientTest, _focus_test, _norm, residualize
 
 
 def cov_n(a, b):
@@ -81,13 +81,14 @@ def _check_spread(x, what="covariate"):
 
 
 def _slope_test(y, x, flavor="HC0", reference="student_t"):
-    # built column-major, so the kernel factors it where it lies
+    # y and x passed _check_pair.  X is built column-major, so the kernel
+    # factors it where it lies
     X = np.empty((x.shape[0], 2), order="F")
     X[:, 0] = 1.0
     X[:, 1] = x
     try:
-        return _test_in_place(y, X, 1, ("intercept", "x"), flavor,
-                              reference)
+        return _focus_test(y, X, 1, ("intercept", "x"), flavor, reference,
+                           _norm(y))
     except ZeroStdError:
         # exact fit: the slope test is degenerate, report the value alone
         return None
@@ -125,9 +126,9 @@ def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
     x_res = residualize(focus, adjust, data)
     sx = _check_spread(x_res, f"residualized {focus!r}")
     try:
-        test = _test_in_place(y, data.design([focus, *adjust]), 1,
-                              ("intercept", focus, *adjust), flavor,
-                              reference)
+        test = _focus_test(y, data.design([focus, *adjust]), 1,
+                           ("intercept", focus, *adjust), flavor, reference,
+                           _norm(y))
     except ZeroStdError as exc:
         # an exact fit: the test is degenerate, the coefficient is not
         return y, x_res, sx, exc.estimate, None

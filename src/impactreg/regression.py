@@ -4,40 +4,35 @@ The computational substrate for the impact estimators, the hierarchical
 testing procedure and the simulation harness.
 
 The checking rule.  The least-squares kernel of :mod:`impactreg.backend`
-checks nothing, so every input from outside the package passes
-``_validate`` once before any work: y is 1-d and X 2-d with y's rows,
-both finite, the sandwich flavor is HC0 or HC1 and the column names, if
-given, name every column of X.  ``fit_ols``, ``residualize``, the
-one-coefficient routes ``_coefficient_test`` and ``_test_in_place``
-(``slope_identity_check``, impact's tests), ``hierarchy.order_indices``
-and the hierarchy's step loop (``hierarchy_pvalues``,
-``run_hierarchy``) each call it once, on their whole input.  Only data
-already known to be finite skip it: ``simulate``'s full-model
-comparator, whose data are finite by construction once ``SimConfig``
-has bounded the coefficients, and the ordering of
-``hierarchy.order_covariates``, which reads a ``Dataset``, checked when
-it was built.  The row count is the one rule left to each fit, ``n >
-p`` at the fit's own width, so a hierarchy can stop early on a short
-sample before p reaches n.
+checks nothing.  An array from outside the package is checked once, by
+``_validate``, in the public function that receives it, before any
+work: y is 1-d and X 2-d with y's rows, both finite, and the column
+names, if given, name every column of X.  A ``Dataset`` is checked once,
+when it is built, and keeps no array that anything else can write.
+Nothing downstream checks either again.  Two rules are left to the
+place that reads the value: each fit, in ``_fit``, checks the sandwich
+flavor and ``n > p`` at its own width, so a hierarchy can stop early on
+a short sample before p reaches n, and ``two_sided_pvalue`` checks the
+reference distribution.
 
 Every fit then goes through ``_fit``, which calls the column-pivoted QR
 kernel once, asking it only for the covariance rows its caller reads:
 ``fit_ols`` takes them all, ``residualize`` none, and ``_focus_test``,
 the one home of the test of a single coefficient (the hierarchy's
-steps, the comparator, ``_coefficient_test``, ``_test_in_place``), only
-the tested coefficient's.  Every test, on any route, is decided by
-``_white_test``, so the exact-fit and zero-SE rule exists once,
-and from the same bits: a row's variances do not depend on the other
-rows asked for (the row contract of :mod:`impactreg.backend`).
+steps, the comparator, ``_coefficient_test``, impact's tests,
+``slope_identity_check``), only the tested coefficient's.  Every test,
+on any route, is decided by ``_white_test``, so the exact-fit and
+zero-SE rule exists once, and from the same bits: a row's variances do
+not depend on the other rows asked for (the row contract of
+:mod:`impactreg.backend`).
 
 The kernel factors the design it is given in place.  A design from
 outside the package is copied once, to column-major order, where it
 enters: ``fit_ols`` and ``_coefficient_test`` copy it, so the caller's
 arrays are never written.  A design the package builds itself is handed
-over as it is, with no second copy: ``residualize`` fits
-``Dataset.design``, ``_test_in_place`` takes impact's designs and
-``slope_identity_check``'s, and the hierarchy and the comparator call
-``_focus_test`` on buffers they own.
+over as it is, with no second copy: ``residualize`` and impact's tests
+fit ``Dataset.design`` or a design of their own, and the hierarchy, the
+comparator and ``slope_identity_check`` fit buffers they own.
 """
 
 from __future__ import annotations
@@ -118,9 +113,8 @@ def two_sided_pvalue(statistic, dof, reference="student_t"):
     raise InvalidConfig(f"unknown reference {reference!r}")
 
 
-def _validate(y, X, flavor="HC0", column_names=None):
-    """The checking rule of the module docstring, on y, X, the flavor
-    and the names.
+def _validate(y, X, column_names=None):
+    """The checking rule of the module docstring, on y, X and the names.
 
     Returns ``(y, X, column_names)``: y and X as float arrays and the
     names as a tuple, by default ``x0``, ``x1``, ...
@@ -134,8 +128,6 @@ def _validate(y, X, flavor="HC0", column_names=None):
             f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if not (np.isfinite(y).all() and np.isfinite(X).all()):
         raise NonFinite("non-finite entries in regression input")
-    if flavor not in ("HC0", "HC1"):
-        raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     if column_names is None:
         return y, X, _default_names(X.shape[1])
     column_names = tuple(column_names)
@@ -150,14 +142,17 @@ def _default_names(p):
 
 
 def _fit(y, X, column_names, flavor, rows):
-    """The kernel call behind every fit, on input that passed ``_validate``.
+    """The kernel call behind every fit, on input known to be finite and
+    to agree in rows.
 
-    Checks n > p, calls ``backend.ols_sandwich`` once with ``rows`` (the
-    covariance rows read), and raises ``RankDeficient`` naming the
-    dependent column.  The kernel factors X in place: X is a column-major
+    Checks the flavor and n > p, calls ``backend.ols_sandwich`` once with
+    ``rows`` (the covariance rows read), and raises ``RankDeficient``
+    naming the dependent column.  The kernel factors X in place: X is a column-major
     float64 buffer that the caller owns and does not read again.  Returns
     ``(coef, resid, classical, sandwich)``.
     """
+    if flavor not in ("HC0", "HC1"):
+        raise InvalidConfig(f"unknown sandwich flavor {flavor!r}")
     n, p = X.shape
     if n <= p:
         raise DimensionMismatch(f"need n > p, got n={n}, p={p}")
@@ -176,7 +171,7 @@ def fit_ols(y, X, column_names=None, flavor="HC0"):
     The kernel fits a column-major copy of X, so X is left as it was.
     """
     y, X, column_names = _validate(y, np.array(X, dtype=float, order="F"),
-                                   flavor, column_names)
+                                   column_names)
     coef, resid, classical, sandwich = _fit(y, X, column_names, flavor, None)
     return FitResult(
         column_names=column_names,
@@ -214,8 +209,8 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
 
 def _focus_test(y, X, index, column_names, flavor, reference,
                 response_norm):
-    """White's test of coefficient ``index``, on input that passed
-    ``_validate``.
+    """White's test of coefficient ``index``, on input known to be
+    finite and to agree in rows.
 
     The one home of the test of a single coefficient: the kernel forms
     only that coefficient's covariance row, with the same bits as
@@ -236,15 +231,8 @@ def _coefficient_test(y, X, index, column_names=None, flavor="HC0",
                       reference="student_t"):
     """``_focus_test`` on input from outside the package, checked first;
     the kernel fits a column-major copy of X, so X is left as it was."""
-    return _test_in_place(y, np.array(X, dtype=float, order="F"), index,
-                          column_names, flavor, reference)
-
-
-def _test_in_place(y, X, index, column_names=None, flavor="HC0",
-                   reference="student_t"):
-    """``_focus_test`` on a checked y and a design the caller built and
-    gives up: the kernel factors the column-major float64 X in place."""
-    y, X, column_names = _validate(y, X, flavor, column_names)
+    y, X, column_names = _validate(y, np.array(X, dtype=float, order="F"),
+                                   column_names)
     return _focus_test(y, X, index, column_names, flavor, reference,
                        _norm(y))
 
@@ -282,6 +270,5 @@ def residualize(target_column: str, on_columns, data: Dataset):
     on_columns = list(on_columns)
     if not on_columns:
         return target - target.mean()
-    checked = _validate(target, data.design(on_columns), "HC0",
-                        ("intercept", *on_columns))
-    return _fit(*checked, "HC0", ())[1]
+    return _fit(target, data.design(on_columns), ("intercept", *on_columns),
+                "HC0", ())[1]

@@ -29,7 +29,7 @@ from . import backend
 from .dataset import Dataset
 from .errors import ImpactregError, InvalidConfig
 from .hierarchy import hierarchy_pvalues, order_indices
-from .regression import _default_names, _focus_test, _norm, _test_in_place
+from .regression import _default_names, _focus_test, _norm, _validate
 
 # beta per m used in the tables (R^2_x about 0.8 at k = m - 1)
 TABLE_BETA = {5: 1.00, 8: 0.75, 10: 0.65, 20: 0.45, 50: 0.30}
@@ -276,14 +276,13 @@ def run_study(config: SimConfig, threads: int = 1) -> SimReport:
         raise InvalidConfig(f"need threads >= 1, got {threads}")
     reps = config.replications
     if threads > 1:
+        # the chunks are consecutive runs of indices, and map returns
+        # their outputs in chunk order, so the results are in index order
         chunks = np.array_split(np.arange(reps), min(threads * 4, reps))
-        results: list = [None] * reps
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk, out in zip(
-                    chunks,
-                    pool.map(_replicate_chunk, [config] * len(chunks), chunks)):
-                for i, rec in zip(chunk, out):
-                    results[i] = rec
+            results = [rec for out in pool.map(
+                _replicate_chunk, [config] * len(chunks), chunks)
+                for rec in out]
     else:
         results = _replicate_chunk(config, range(reps))
 
@@ -360,11 +359,13 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     else:
         raise InvalidConfig(f"unknown model {model!r}")
 
-    # built column-major, so the kernel factors it where it lies
+    # built column-major, so the kernel factors it where it lies; the
+    # parameters come from outside, so the data are checked
     X = np.empty((n, 3), order="F")
     X[:, 0] = 1.0
     X[:, 1] = x1
     X[:, 2] = x2
-    test = _test_in_place(y, X, 1)
+    y, X, names = _validate(y, X)
+    test = _focus_test(y, X, 1, names, "HC0", "student_t", _norm(y))
     return SlopeIdentity(estimate=test.estimate, target=target,
                          std_error=test.std_error)

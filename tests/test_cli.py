@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -110,6 +112,33 @@ class TestAnalyze:
             ["" if p is None else format(p, ".17g")
              for p in steps["step_pvalues"]]
         assert (None in steps["step_pvalues"]) == (alpha == "0.05")
+
+    def test_csv_quotes_labels(self, tmp_path):
+        # a label with a comma used to split its row into one field more
+        # than the header's
+        rng = np.random.default_rng(12)
+        a, b, e1, e2 = rng.standard_normal((4, 300))
+        from impactreg.dataset import Dataset
+        path = tmp_path / "d.csv"
+        write_csv(Dataset(("y", "x1", "a,b", 'say "c"'),
+                          np.column_stack([a + e2, a + 2 * b + e1, a, b])),
+                  path)
+        argv = ["analyze", "--data", str(path), "--response", "y",
+                "--focus", "x1", "--hierarchy", "--alpha", "0.999"]
+        assert run([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert run([*argv, "--format", "csv",
+                    "--out", str(tmp_path / "r.csv")]) == 0
+        steps = json.loads((tmp_path / "r.json").read_text())["hierarchy"]
+        rows = list(csv.reader(io.StringIO((tmp_path / "r.csv").read_text())))
+        assert {len(row) for row in rows} == {7}
+        assert [r[3] for r in rows if r[0] == "hierarchy_step"] == \
+            steps["ordering"]
+
+    def test_report_to_stdout_by_default(self, data_csv, capsys):
+        assert run(["analyze", "--data", str(data_csv), "--response", "y",
+                    "--focus", "x1"]) == 0
+        jsonschema.validate(json.loads(capsys.readouterr().out),
+                            load_schema())
 
     def test_transforms_applied(self, data_csv, tmp_path):
         spec = tmp_path / "t.json"

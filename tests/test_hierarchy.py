@@ -9,7 +9,8 @@ from impactreg import (backend, fixed_sequence_test, order_covariates,
                        run_hierarchy, fit_ols, coefficient_test)
 from impactreg.dataset import Dataset
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
-                              ImpactregError, NonFinite, RankDeficient)
+                              ImpactregError, InvalidConfig, NonFinite,
+                              RankDeficient)
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.regression import _coefficient_test, _validate
 
@@ -130,7 +131,7 @@ def step_loop(test):
         n, q = ordered.shape
         design = np.column_stack([np.ones(n), x_focus, ordered])
         # hierarchy_pvalues names the columns as fit_ols does by default
-        column_names = _validate(y, design, flavor)[2]
+        column_names = _validate(y, design)[2]
         steps = q + 1 if include_bivariate else q
         first = 2 if include_bivariate else 3
         pvalues = [None] * steps
@@ -227,6 +228,10 @@ class TestOrdering:
         rng = np.random.default_rng(0)
         data = Dataset(("x1", "x2"), rng.standard_normal((20, 2)))
         assert order_covariates("x1", ["x2"], data) == ["x2"]
+
+    def test_no_candidates(self):
+        x1 = np.random.default_rng(0).standard_normal(20)
+        assert order_indices(x1, np.empty((20, 0))) == []
 
     def test_least_correlated_first(self):
         # x2 strongly tied to focus, x3 weakly: x3 must be picked first
@@ -414,6 +419,27 @@ class TestRunHierarchy:
         data = self.confounded_data(3)
         with pytest.raises(ValueError):
             run_hierarchy("y", "x1", [], data)
+
+    def test_no_step_to_test_rejected_on_every_route(self):
+        # an empty pre-specified ordering, and the array form with no
+        # candidates, used to return an empty result
+        data = self.confounded_data(3)
+        with pytest.raises(InvalidConfig, match="nothing to test"):
+            run_hierarchy("y", "x1", [], data, ordering=[])
+        with pytest.raises(InvalidConfig, match="nothing to test"):
+            hierarchy_pvalues(data.column("y"), data.column("x1"),
+                              np.empty((data.n, 0)), 0.05)
+
+    @pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, 1.5])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        # nan, 0 and -1 used to return one p-value and reject nothing,
+        # and 1.5 to reject every step
+        data = self.confounded_data(3)
+        with pytest.raises(InvalidConfig, match="alpha"):
+            run_hierarchy("y", "x1", ["x2", "x3"], data, alpha=alpha)
+        with pytest.raises(InvalidConfig, match="alpha"):
+            hierarchy_pvalues(data.column("y"), data.column("x1"),
+                              data.columns(["x2", "x3"]), alpha)
 
     def test_prespecified_order_respected(self):
         data = self.confounded_data(4)

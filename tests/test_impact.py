@@ -69,6 +69,8 @@ class TestLinearImpact:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linear_mean_impact(np.ones(3), np.ones(4))
+        with pytest.raises(DimensionMismatch, match="2 observations"):
+            linear_mean_impact(np.ones(1), np.ones(1))
 
     @pytest.mark.parametrize("estimator", [linear_mean_impact,
                                            linear_mean_slope, mod_r2])
@@ -122,6 +124,21 @@ class TestPartialImpact:
         raw = partial_linear_mean_impact("y", "x1", [], data).value
         adj = partial_linear_mean_impact("y", "x1", ["x2"], data).value
         assert raw != pytest.approx(adj, rel=1e-3)
+
+    def test_exact_fit_keeps_the_estimate_without_a_test(self):
+        # the focus coefficient of an exact fit is its slope; only its
+        # test is degenerate
+        data = self.random_data(10)
+        x1, x2 = data.column("x1"), data.column("x2")
+        exact = Dataset(("y", "x1", "x2"),
+                        np.column_stack([1.0 + 2.0 * x1 - 0.5 * x2, x1, x2]))
+        slope = partial_linear_mean_slope("y", "x1", ["x2"], exact,
+                                          signed=True)
+        assert slope.test is None
+        assert slope.value == pytest.approx(2.0, rel=1e-12)
+        impact_ = partial_linear_mean_impact("y", "x1", ["x2"], exact)
+        assert impact_.test is None
+        assert "test" not in impact_.as_dict()
 
     def test_metadata_round_trip(self):
         data = self.random_data(9)

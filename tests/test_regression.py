@@ -11,10 +11,15 @@ from scipy.linalg import qr, solve_triangular
 
 import impactreg
 from impactreg import (backend, fit_ols, coefficient_test, hierarchy,
-                       residualize, write_csv)
+                       linear_mean_impact, linear_mean_slope,
+                       order_covariates, partial_linear_mean_impact,
+                       partial_linear_mean_slope, regression, residualize,
+                       run_hierarchy, slope_identity_check, write_csv)
 from impactreg.dataset import Dataset
-from impactreg.errors import (DimensionMismatch, NonFinite, RankDeficient,
-                              UnknownColumn, ZeroStdError)
+from impactreg.errors import (DimensionMismatch, InvalidConfig, NonFinite,
+                              RankDeficient, UnknownColumn, ZeroStdError)
+from impactreg.hierarchy import hierarchy_pvalues, order_indices
+from impactreg.regression import _coefficient_test
 from impactreg.simulate import SimConfig, generate_dataset
 
 
@@ -162,6 +167,75 @@ class TestResidualize:
                         np.column_stack([once, values[:, 1:]]))
         twice = residualize("a", ["b", "c"], data2)
         np.testing.assert_allclose(twice, once, atol=1e-10)
+
+
+def _routes_problem():
+    data = generate_dataset(SimConfig(m=4, k=3, n=60, seed=5), 0)
+    cand = data.columns(["x2", "x3", "x4"])
+    return data, data.column("y"), data.column("x1"), cand
+
+
+class TestCheckedOnce:
+    """An array from outside is checked once, where it enters; a
+    ``Dataset`` was checked when it was built, and no route checks it
+    again."""
+
+    @pytest.mark.parametrize("route, calls", [
+        (lambda d, y, x1, c: run_hierarchy(
+            "y", "x1", ["x2", "x3", "x4"], d, alpha=1.0,
+            include_bivariate=True), 0),
+        (lambda d, y, x1, c: order_covariates("x1", ["x2", "x3", "x4"], d),
+         0),
+        (lambda d, y, x1, c: residualize("x1", ["x2", "x3"], d), 0),
+        (lambda d, y, x1, c: partial_linear_mean_impact(
+            "y", "x1", ["x2", "x3"], d), 0),
+        (lambda d, y, x1, c: partial_linear_mean_slope(
+            "y", "x1", ["x2", "x3"], d), 0),
+        (lambda d, y, x1, c: linear_mean_impact(y, x1), 0),
+        (lambda d, y, x1, c: linear_mean_slope(y, x1), 0),
+        (lambda d, y, x1, c: fit_ols(y, design(x1)), 1),
+        (lambda d, y, x1, c: _coefficient_test(y, design(x1), 1), 1),
+        (lambda d, y, x1, c: order_indices(x1, c), 1),
+        (lambda d, y, x1, c: hierarchy_pvalues(
+            y, x1, c, 1.0, include_bivariate=True), 1),
+        (lambda d, y, x1, c: slope_identity_check("semi_linear", n=200), 1),
+    ], ids=["run_hierarchy", "order_covariates", "residualize",
+            "partial_impact", "partial_slope", "linear_impact",
+            "linear_slope", "fit_ols", "_coefficient_test",
+            "order_indices", "hierarchy_pvalues", "slope_identity_check"])
+    def test_validate_calls(self, monkeypatch, route, calls):
+        real = regression._validate
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return real(*args, **kwargs)
+
+        # every module's reference to the checker, wherever imported
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "impactreg"
+                    and getattr(module, "_validate", None) is real):
+                monkeypatch.setattr(module, "_validate", counting)
+        route(*_routes_problem())
+        assert len(counted) == calls
+
+
+@pytest.mark.parametrize("route", [
+    lambda d, y, x1, c, f: fit_ols(y, design(x1), flavor=f),
+    lambda d, y, x1, c, f: hierarchy_pvalues(y, x1, c, 0.05, flavor=f),
+    lambda d, y, x1, c, f: run_hierarchy("y", "x1", ["x2", "x3", "x4"], d,
+                                         flavor=f),
+    lambda d, y, x1, c, f: linear_mean_impact(y, x1, flavor=f),
+    lambda d, y, x1, c, f: linear_mean_slope(y, x1, flavor=f),
+    lambda d, y, x1, c, f: partial_linear_mean_impact("y", "x1", ["x2"], d,
+                                                      flavor=f),
+    lambda d, y, x1, c, f: partial_linear_mean_slope("y", "x1", ["x2"], d,
+                                                     flavor=f),
+], ids=["fit_ols", "hierarchy_pvalues", "run_hierarchy", "linear_impact",
+        "linear_slope", "partial_impact", "partial_slope"])
+def test_unknown_flavor_rejected_on_every_route(route):
+    with pytest.raises(InvalidConfig, match="sandwich flavor"):
+        route(*_routes_problem(), "HC2")
 
 
 class TestInvariants:

@@ -11,7 +11,7 @@ import pytest
 from impactreg import SimConfig, generate_dataset, run_study, \
     slope_identity_check
 from impactreg import backend, simulate
-from impactreg.errors import InvalidConfig
+from impactreg.errors import InvalidConfig, NonFinite
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.regression import _focus_test
 from impactreg.simulate import TABLE_BETA, generate_arrays
@@ -371,6 +371,12 @@ class TestSlopeIdentity:
     def test_unknown_model(self):
         with pytest.raises(InvalidConfig):
             slope_identity_check("nope", {}, n=100, seed=0)
+
+    @pytest.mark.parametrize("params", [{"theta1": math.nan},
+                                        {"b0": math.inf}])
+    def test_non_finite_parameter(self, params):
+        with pytest.raises(NonFinite):
+            slope_identity_check("semi_linear", params, n=100, seed=0)
 
     def test_semi_linear_small(self):
         out = slope_identity_check("semi_linear", {"theta1": 2.0}, n=50_000,

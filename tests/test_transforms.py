@@ -397,6 +397,18 @@ class TestDataset:
             Dataset(("a",), np.ones((1, 1)))  # n < 2
         with pytest.raises(DimensionMismatch):
             Dataset(("a", "a"), np.ones((3, 2)))
+        with pytest.raises(DimensionMismatch, match="2-d"):
+            Dataset(("a",), np.ones(3))
+
+    def test_a_read_only_view_is_copied(self):
+        # the view's base stays writeable, and a write to it used to
+        # show through the dataset
+        a = np.asfortranarray(np.ones((4, 2)))
+        b = a.view()
+        b.setflags(write=False)
+        d = Dataset(("a", "b"), b)
+        a[0, 0] = 5
+        assert d.values[0, 0] == 1.0
 
     def test_column_access(self):
         data = Dataset(("a", "b"), np.array([[1., 2.], [3., 4.]]))

@@ -10,23 +10,28 @@ A = diag(e) Q [Z; 0], never an explicit (X'X)^-1 product, so its error
 grows with cond(X), not cond(X)^2.  This is the single place that
 builds the Huber-White matrix and applies the HC1 factor n/(n-p).
 
-Callers name the covariance rows they read (``rows``).
-``regression.fit_ols``, the public route, takes every row.  The
-one-coefficient test of ``regression`` (the steps of
-``hierarchy.hierarchy_pvalues``, simulate's full-model comparator,
-``slope_identity_check``, impact's slope and partial tests) takes the
-focus row alone.  The residualizations of ``hierarchy.order_indices``
-and ``regression.residualize`` take no row and read only the residuals.
+Callers name the covariance rows they read (``rows``), and the kernel
+does only the work those rows need.  ``regression.fit_ols``, the public
+route, takes every row: the p x p matrices.  The one-coefficient test of
+``regression`` (the steps of ``hierarchy.hierarchy_pvalues``, simulate's
+full-model comparator, ``slope_identity_check``, impact's slope and
+partial tests) names the focus row alone, as an int, and gets its two
+variances as scalars, with no block around them.  The residualizations
+of ``hierarchy.order_indices`` and ``regression.residualize`` take no
+row (``rows=()``) and get the residuals alone: the kernel returns them
+before it solves for the coefficients.
 
-The row contract, which the other modules rely on: the coefficients,
-residuals, rank and pivots are the same bits for any ``rows``, and so
-are a row's variances, the diagonal entries of the blocks returned.
-Each requested row is solved, multiplied by Q and summed on its own, in
-one loop over the rows, so ``coefficient_test(fit_ols(...), j)`` and the
-one-coefficient route give the same p-value.  The off-diagonal entries,
-products of the stacked rows, agree to rounding.  The price is one
-single-column solve and reflector product per row where ``fit_ols``
-could make one product of p columns.
+The row contract, which the other modules rely on: the residuals, rank
+and pivots are the same bits for any ``rows``, the coefficients too
+wherever they are returned, and so are a row's variances, whether
+returned as scalars or as the diagonal entries of a block.  Each
+requested row is solved, multiplied by Q and summed on its own, the one
+row as each row of the loop over several, so
+``coefficient_test(fit_ols(...), j)`` and the one-coefficient route give
+the same p-value.  The off-diagonal entries, products of the stacked
+rows, agree to rounding.  The price is one single-column solve and
+reflector product per row where ``fit_ols`` could make one product of p
+columns.
 
 The kernel runs on one BLAS thread.  At the package's sizes OpenBLAS's
 extra threads gain nothing on the kernel's LAPACK calls and matmuls: they
@@ -222,17 +227,19 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         that, by the checking rule of :mod:`impactreg.regression`, so
         the kernel does not.
     hc1 : scale the sandwich by n/(n-p).
-    rows : the coefficients whose covariance rows are read, or ``None``
-        for all of them.  The covariances returned are the
-        ``len(rows)`` x ``len(rows)`` blocks of the full p x p matrices
-        at ``rows``, in that order; with ``rows=()`` both are ``None``.
-        What keeps its bits whatever ``rows`` is: see the module
-        docstring.
+    rows : the covariance rows read: ``None`` for all of them, a tuple
+        of coefficients for the ``len(rows)`` x ``len(rows)`` blocks of
+        the full p x p matrices at ``rows``, in that order, an int j for
+        row j alone, or ``()`` for none.  What keeps its bits whatever
+        ``rows`` is: see the module docstring.
 
     Returns
     -------
     (coef, resid, classical, sandwich, rank, pivots)
-    where all arrays are ``None`` when ``rank < p`` at relative pivot
+    where ``classical`` and ``sandwich`` are the blocks at ``rows``, or
+    with an int j the two variances of coefficient j as scalars.  With
+    ``rows=()`` only ``resid`` is computed, and the other three are
+    ``None``.  All four are ``None`` when ``rank < p`` at relative pivot
     tolerance ``RANK_TOL``; ``pivots`` is the column permutation chosen
     by the factorization (decreasing pivot magnitude), so
     ``pivots[rank]`` names a dependent column.  The call runs on one BLAS
@@ -258,17 +265,33 @@ def ols_sandwich(X, y, hc1=False, rows=None):
 
         # c = Q'y; R w = c[:p], solved in place; e = Q [0; c[p:]]
         c = _apply_q("T", factor, tau, np.array(y, dtype=float)[:, None])
+        if rows == ():
+            # the residuals alone: e reads c[p:] only, so c[:p] is not
+            # solved for the coefficients
+            c[:p].fill(0.0)
+            return (None, _apply_q("N", factor, tau, c)[:, 0], None, None,
+                    rank, piv)
         c = _solve(factor, c, 0)
         coef = np.empty(p)
         coef.put(piv, c[:p, 0])
         c[:p].fill(0.0)
         resid = _apply_q("N", factor, tau, c)[:, 0]
-        if rows is None:
-            rows = range(p)
-        if not rows:
-            return coef, resid, None, None, rank, piv
         # x.dot(x) is x @ x, the same BLAS ddot, at half the call cost
         scale = resid.dot(resid) / (n - p) if n > p else 0.0
+        hc = n / (n - p) if hc1 else 1.0
+        position = piv.tolist().index
+        if isinstance(rows, int):
+            # one row: the loop's body below, on one column of its own
+            a = np.zeros((n, 1), order="F")
+            a[position(rows)] = 1.0
+            a = _solve(factor, a, 1)
+            z = a[:p, 0]
+            classical = z.dot(z) * scale
+            a = _apply_q("N", factor, tau, a)[:, 0]
+            a *= resid
+            return coef, resid, classical, a.dot(a) * hc, rank, piv
+        if rows is None:
+            rows = range(p)
         k = len(rows)
         classical = np.empty((k, k))
         sandwich = np.empty((k, k))
@@ -276,7 +299,6 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         # column i of A is a_i, solved and multiplied in its place; A.T
         # is laid out as the (k, n) row-major stack of the a_i
         A = np.zeros((n, k), order="F")
-        position = piv.tolist().index
         for i, row in enumerate(rows):
             # R'z = e_j, j the row's pivot position, and a = diag(e) Q [z; 0]
             a = A[:, i:i + 1]
@@ -292,6 +314,5 @@ def ols_sandwich(X, y, hc1=False, rows=None):
             off = ~np.eye(k, dtype=bool)
             classical[off] = (Zt @ Zt.T)[off] * scale
             sandwich[off] = (A.T @ A)[off]
-        if hc1:
-            sandwich *= n / (n - p)
+        sandwich *= hc
         return coef, resid, classical, sandwich, rank, piv

@@ -21,12 +21,13 @@ class Dataset:
     Column 0 is conventionally (but not necessarily) the response.
     Instances are immutable: ``values`` is read-only, and the transforms
     of :mod:`impactreg.transforms` return a new dataset.  ``values`` is
-    column-major.  A given array is kept only when nothing else can write
-    it: a read-only column-major float64 array that owns its memory.
-    Anything else is copied once: another layout or dtype, a writeable
-    array, which is never frozen under its caller, and a view, whose
-    base could be written.  So the values are checked once, here, and
-    the package trusts them after.
+    column-major.  The constructor copies the given array, whatever its
+    layout, dtype or flags, so nothing its caller holds can write the
+    table: not the array, not a base it views, and not the array once
+    its caller turns writing back on.  The one table kept as it is comes
+    through ``_adopt``, from a caller that made it and hands it over.
+    So the values are checked once, here, and the package trusts them
+    after.
     """
 
     column_names: tuple[str, ...]
@@ -34,12 +35,26 @@ class Dataset:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._keep(np.array(self.values, dtype=float, order="F"))
+
+    @classmethod
+    def _adopt(cls, column_names, values):
+        """A dataset of ``values`` itself, with no copy.
+
+        ``values`` is a column-major float64 array that its caller made
+        and hands over: nothing else holds it, views it or writes it
+        again.  ``transforms.apply_transforms`` builds its result this
+        way, so an ``analyze`` request holds one table.
+        """
+        data = object.__new__(cls)
+        object.__setattr__(data, "column_names", column_names)
+        data._keep(values)
+        return data
+
+    def _keep(self, values):
+        """Check the names and the column-major float64 ``values``, and
+        keep both, the values read-only."""
         names = tuple(str(c) for c in self.column_names)
-        values = self.values
-        if not (isinstance(values, np.ndarray) and values.base is None
-                and values.dtype == np.float64 and values.flags.f_contiguous
-                and not values.flags.writeable):
-            values = np.array(values, dtype=float, order="F")
         if values.ndim != 2:
             raise DimensionMismatch("values must be a 2-d array")
         if values.shape[1] != len(names):

@@ -31,11 +31,11 @@ reads the remaining candidates as one contiguous slice, in position
 order, which no fit touches.  The steps' buffer is (n, q+2): each step
 fills its leading slice with its design ``[1, focus, first ordered
 candidates]`` and fits it.  Both loops ask only for what they
-read: the ordering's residualizations call the kernel for no covariance
-row (``rows=()``), and each step is ``regression``'s one-coefficient
-test of the focus (``rows=(1,)``).  By the kernel's row contract (see
-:mod:`impactreg.backend`), the ordering and the step p-values keep the
-bits of the ``fit_ols`` route.
+read: the ordering's residualizations call the kernel for the residuals
+alone (``rows=()``), and each step is ``regression``'s one-coefficient
+test of the focus (``rows=1``), of which it reads the p-value.  By the
+kernel's row contract (see :mod:`impactreg.backend`), the ordering and
+the step p-values keep the bits of the ``fit_ols`` route.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import backend
 from .dataset import Dataset
 from .errors import DegenerateCovariate, DimensionMismatch, InvalidConfig
-from .regression import _default_names, _focus_test, _norm, _validate
+from .regression import _default_names, _focus, _norm, _validate
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,12 @@ def _order(x_focus, buffer, source, columns):
         with np.errstate(invalid="ignore", divide="ignore"):
             while (r := len(remaining)) > 1:
                 k = q - r
-                v = resid - np.add.reduce(resid) / n
-                corr = buffer[:, k + 1:].T @ v
+                # the residual is the loop's own: centred in its place.
+                # x.dot(v) is x @ v, the same BLAS call, at less call cost
+                resid -= np.add.reduce(resid) / n
+                corr = buffer[:, k + 1:].T.dot(resid)
                 np.abs(corr, out=corr)
-                corr /= math.sqrt(v @ v) * norms[k:]
+                corr /= math.sqrt(resid.dot(resid)) * norms[k:]
                 # argmin with position-order tie-break; nan (degenerate
                 # residual direction) sorts last
                 j = int(corr.argmin())
@@ -230,7 +232,8 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
 
     Each step's p-value, and the error a step raises, are those of
     ``regression``'s one-coefficient test, ``_focus_test``, on the step's
-    leading slice of the design, and so, by the kernel's row contract
+    leading slice of the design (the steps take its fields as a tuple,
+    ``_focus``), and so, by the kernel's row contract
     (see :mod:`impactreg.backend`), the same bits as
     ``coefficient_test(fit_ols(...), 1)``.  The whole input is checked
     at entry, by the checking rule of :mod:`impactreg.regression`, so a
@@ -286,8 +289,9 @@ def _steps(y, source, columns, alpha, include_bivariate, flavor, reference,
             p = first + step
             prefix = design[:, :p]
             _refill(prefix, source, columns[:p - 1])
-            pvalue = _focus_test(y, prefix, 1, column_names, flavor,
-                                 reference, response_norm).p_value
+            # field 3 of the test is its p-value
+            pvalue = _focus(y, prefix, 1, column_names, flavor, reference,
+                            response_norm)[3]
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1

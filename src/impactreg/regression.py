@@ -18,9 +18,10 @@ reference distribution.
 Every fit then goes through ``_fit``, which calls the column-pivoted QR
 kernel once, asking it only for the covariance rows its caller reads:
 ``fit_ols`` takes them all, ``residualize`` none, and ``_focus_test``,
-the one home of the test of a single coefficient (the hierarchy's
-steps, the comparator, ``_coefficient_test``, impact's tests,
-``slope_identity_check``), only the tested coefficient's.  Every test,
+the one home of the test of a single coefficient (the comparator,
+``_coefficient_test``, impact's tests, ``slope_identity_check``, and
+the hierarchy's steps, which read its fields as a tuple from
+``_focus``), only the tested coefficient's.  Every test,
 on any route, is decided by ``_white_test``, so the exact-fit and
 zero-SE rule exists once, and from the same bits: a row's variances do
 not depend on the other rows asked for (the row contract of
@@ -200,11 +201,10 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
     """
     if not 0 <= index < fit.p:
         raise DimensionMismatch(f"coefficient index {index} out of range")
-    return _white_test(float(fit.coefficients[index]),
-                       float(fit.sandwich_cov[index, index]),
-                       float(fit.classical_cov[index, index]), fit.dof,
-                       _norm(fit.residuals), fit.response_norm, index,
-                       reference)
+    return CoefficientTest(*_white_test(
+        float(fit.coefficients[index]), float(fit.sandwich_cov[index, index]),
+        float(fit.classical_cov[index, index]), fit.dof,
+        _norm(fit.residuals), fit.response_norm, index, reference))
 
 
 def _focus_test(y, X, index, column_names, flavor, reference,
@@ -219,11 +219,18 @@ def _focus_test(y, X, index, column_names, flavor, reference,
     reference)``.  ``response_norm`` is ||y||, taken once by a caller
     that tests several designs on one y.
     """
+    return CoefficientTest(*_focus(y, X, index, column_names, flavor,
+                                   reference, response_norm))
+
+
+def _focus(y, X, index, column_names, flavor, reference, response_norm):
+    """``_focus_test``'s fields as a tuple, in ``CoefficientTest``'s
+    order, for the hierarchy's steps, which read the p-value alone."""
+    n, p = X.shape
     coef, resid, classical, sandwich = _fit(y, X, column_names, flavor,
-                                            (index,))
-    return _white_test(float(coef[index]), float(sandwich[0, 0]),
-                       float(classical[0, 0]),
-                       resid.shape[0] - coef.shape[0], _norm(resid),
+                                            index)
+    return _white_test(float(coef[index]), float(sandwich),
+                       float(classical), n - p, _norm(resid),
                        response_norm, index, reference)
 
 
@@ -239,7 +246,8 @@ def _coefficient_test(y, X, index, column_names=None, flavor="HC0",
 
 def _white_test(estimate, variance, classical_variance, dof, resid_norm,
                 response_norm, index, reference):
-    """White's test of coefficient ``index`` from the scalars it reads.
+    """White's test of coefficient ``index`` from the scalars it reads:
+    the fields of its ``CoefficientTest``, as a tuple.
 
     The one home of the exact-fit and zero-SE rule (see
     ``coefficient_test``): every route decides its tests here.
@@ -251,14 +259,8 @@ def _white_test(estimate, variance, classical_variance, dof, resid_norm,
             f"degenerate fit: robust standard error of coefficient {index} "
             f"is {std_error:.3e}", estimate)
     statistic = estimate / std_error
-    return CoefficientTest(
-        estimate=estimate,
-        std_error=std_error,
-        statistic=statistic,
-        p_value=two_sided_pvalue(statistic, dof, reference),
-        reference=reference,
-        dof=dof,
-    )
+    return (estimate, std_error, statistic,
+            two_sided_pvalue(statistic, dof, reference), reference, dof)
 
 
 def residualize(target_column: str, on_columns, data: Dataset):

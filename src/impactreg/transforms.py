@@ -376,6 +376,5 @@ def apply_transforms(data: Dataset, spec: TransformSpec):
         names, values = _STEPS[step["op"]](names, values, step, log)
     if values is data.values:
         return data, log
-    # frozen, so the Dataset keeps the working copy rather than copy it
-    values.setflags(write=False)
-    return Dataset(names, values), log
+    # the working copy is the function's own: the Dataset keeps it
+    return Dataset._adopt(names, values), log

@@ -515,9 +515,23 @@ class TestKernelDifferential:
             coef, resid, classical, sandwich, rank, piv = \
                 backend.ols_sandwich(X, y, hc1)
             got = backend.ols_sandwich(X, y, hc1, rows=())
-            assert got[2] is None and got[3] is None
             assert (rank < p) == deficient
-            assert_same_bits(got, (coef, resid, None, None, rank, piv))
+            # no coefficients: they are never solved for
+            assert_same_bits(got, (None, resid, None, None, rank, piv))
+
+    @pytest.mark.parametrize("n, p", [(60, 2), (500, 7), (12, 11),
+                                      (400, 150)])
+    @pytest.mark.parametrize("hc1", [False, True])
+    def test_one_row_keeps_the_bits_of_a_full_call(self, n, p, hc1):
+        X, y = self.random_problem(0, n, p)
+        coef, resid, classical, sandwich, rank, piv = \
+            backend.ols_sandwich(X, y, hc1)
+        for j in {0, 1, p // 2, p - 1}:
+            got = backend.ols_sandwich(X, y, hc1, j)
+            # the row's two variances as scalars, not 1 x 1 blocks
+            assert np.ndim(got[2]) == 0 and np.ndim(got[3]) == 0
+            assert_same_bits(got, (coef, resid, classical[j, j],
+                                   sandwich[j, j], rank, piv))
 
 
 class TestKernelInPlace:
@@ -614,6 +628,23 @@ class TestOneBlasThread:
         again = backend.ols_sandwich(*problem)
         assert [name for name, _ in seen] == ["dgeqp3", *fit]
         assert_same_bits(again, first)
+
+    def test_fewer_rows_drop_only_the_solves_they_do_not_read(self,
+                                                              monkeypatch):
+        # the residuals alone need no solve; one row needs the fit's and
+        # its own.  The factorization and the reflector products are
+        # those of a full call
+        seen = []
+        for name in ("dgeqp3", "dormqr", "dtrtrs"):
+            self.spy(monkeypatch, name, seen)
+        problem = TestKernelDifferential.random_problem(0)
+        backend.ols_sandwich(*problem)
+        for rows, fit in [((), ["dormqr", "dormqr"]),
+                          (1, ["dormqr", "dtrtrs", "dormqr", "dtrtrs",
+                               "dormqr"])]:
+            seen.clear()
+            backend.ols_sandwich(*problem, False, rows)
+            assert [name for name, _ in seen] == ["dgeqp3", *fit]
 
     def test_count_restored_after_rank_deficient_return(self,
                                                         two_blas_threads):

@@ -315,6 +315,18 @@ class TestRunStudy:
         with pytest.raises(TypeError):
             run_study(SimConfig(n=50, replications=2, seed=15), threads=1)
 
+    def test_all_failed_replications_raise(self, monkeypatch):
+        # a constant candidate fails every replication's ordering with a
+        # counted DegenerateCovariate; a study with none left raises
+        def constant_candidate(config, replication_index):
+            y, X = generate_arrays(config, replication_index)
+            X[:, 1] = 1.0
+            return y, X
+
+        monkeypatch.setattr(simulate, "generate_arrays", constant_candidate)
+        with pytest.raises(InvalidConfig, match="all replications failed"):
+            run_study(SimConfig(n=50, replications=3, seed=15), threads=1)
+
     @pytest.mark.parametrize("config, digest", [
         ({"flavor": "HC0"}, "147d02ba8594781f551fae9f3df3f140"
                             "1d9b567cb478658fbcaffde4ac3fb1b6"),

@@ -198,6 +198,25 @@ class TestFastPathFallback:
         with pytest.raises(MissingValue):
             read_csv(Pipe("a,b\n1,\n"))
 
+    def test_stream_whose_tell_fails_is_scanned_strictly(self, monkeypatch):
+        # seekable, but with no position to rewind to: the strict scanner
+        # reads it, and gives the fast path's values
+        class NoTell(io.StringIO):
+            def tell(self):
+                raise OSError("no position")
+
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("loadtxt read a stream it cannot rewind")
+
+        rng = np.random.default_rng(2)
+        buf = io.StringIO()
+        write_csv(Dataset(("a", "b", "c"), rng.standard_normal((30, 3))), buf)
+        text = buf.getvalue()
+        fast = outcome(lambda: read_csv(io.StringIO(text)))
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        got = outcome(lambda: read_csv(NoTell(text)))
+        assert got == strict_outcome(text) == fast
+
     def test_csv_field_limit_is_read_at_call_time(self):
         text = "a\n" + "1" * 50 + "\n2\n"
         old = csv.field_size_limit(10)
@@ -220,6 +239,13 @@ class TestTransformSpec:
         path = tmp_path / "t.json"
         path.write_text('[{"op": "standardize", "column": "x1"}]')
         assert TransformSpec.from_json(path).steps[0]["column"] == "x1"
+
+    def test_from_json_open_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"steps": [{"op": "log", "column": "y"}]}')
+        with open(path, encoding="utf-8") as fh:
+            spec = TransformSpec.from_json(fh)
+        assert spec.steps == ({"op": "log", "column": "y"},)
 
     def test_rejects_non_list(self):
         with pytest.raises(InvalidConfig):
@@ -409,6 +435,17 @@ class TestDataset:
         d = Dataset(("a", "b"), b)
         a[0, 0] = 5
         assert d.values[0, 0] == 1.0
+
+    def test_a_read_only_array_is_copied(self):
+        # its owner can turn writing back on, and a write to it used to
+        # show through the dataset
+        a = np.ones((4, 2), order="F")
+        a.setflags(write=False)
+        d = Dataset(("a", "b"), a)
+        a.setflags(write=True)
+        a[0, 0] = 5
+        assert d.values[0, 0] == 1.0
+        assert not d.values.flags.writeable
 
     def test_column_access(self):
         data = Dataset(("a", "b"), np.array([[1., 2.], [3., 4.]]))

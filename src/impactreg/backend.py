@@ -4,32 +4,35 @@ One column-pivoted QR factorization X P = Q R per call; normal equations
 are never formed and neither is Q.  The fit is c = Q'y, R w = c[:p] and
 coef = P w; the residuals are e = Q [0; c[p:]].  Row j of B = P R^-1,
 the factor of (X'X)^-1 = B B', is z' with R'z = e_k, k being j's pivot
-position.  For the rows a caller asks for, stacked in Z, the classical
-covariance block is s^2 Z'Z and the sandwich block is A'A with
-A = diag(e) Q [Z; 0], never an explicit (X'X)^-1 product, so its error
-grows with cond(X), not cond(X)^2.  This is the single place that
-builds the Huber-White matrix and applies the HC1 factor n/(n-p).
+position.  With the rows stacked in Z, the classical covariance is
+s^2 Z'Z and the sandwich is A'A with A = diag(e) Q [Z; 0], never an
+explicit (X'X)^-1 product, so its error grows with cond(X), not
+cond(X)^2.  This is the single place that builds the Huber-White matrix
+and applies the HC1 factor n/(n-p).
 
-Callers name the covariance rows they read (``rows``), and the kernel
-does only the work those rows need.  ``regression.fit_ols``, the public
-route, takes every row: the p x p matrices.  The one-coefficient test of
-``regression`` (the steps of ``hierarchy.hierarchy_pvalues``, simulate's
-full-model comparator, ``slope_identity_check``, impact's slope and
-partial tests) names the focus row alone, as an int, and gets its two
-variances as scalars, with no block around them.  The residualizations
-of ``hierarchy.order_indices`` and ``regression.residualize`` take no
-row (``rows=()``) and get the residuals alone: the kernel returns them
-before it solves for the coefficients.
+Callers name the covariance rows they read (``rows``), in one of three
+forms, and the kernel does only the work those rows need.
+``rows=None`` is every row: ``regression.fit_ols``, the public route,
+gets the p x p matrices.  An int j is row j alone: the one-coefficient
+test of ``regression`` (the steps of ``hierarchy.hierarchy_pvalues``,
+simulate's full-model comparator, ``slope_identity_check``, impact's
+slope and partial tests) names the focus row and gets its two variances
+as scalars.  ``rows=()`` is no row: the residualizations of
+``hierarchy.order_indices`` and ``regression.residualize`` get the
+residuals alone, and the kernel returns them before it solves for the
+coefficients.
 
 The row contract, which the other modules rely on: the residuals, rank
 and pivots are the same bits for any ``rows``, the coefficients too
 wherever they are returned, and so are a row's variances, whether
-returned as scalars or as the diagonal entries of a block.  Each
-requested row is solved, multiplied by Q and summed on its own, the one
-row as each row of the loop over several, so
-``coefficient_test(fit_ols(...), j)`` and the one-coefficient route give
-the same p-value.  The off-diagonal entries, products of the stacked
-rows, agree to rounding.  The price is one single-column solve and
+returned as scalars or as the diagonal entries of the matrices.  It
+holds by construction: one function, ``_row``, does every row's work,
+solving for it, multiplying it by Q and summing both products, and both
+forms that read rows call it, the int form once and the full form once
+per row, so ``coefficient_test(fit_ols(...), j)`` and the
+one-coefficient route give the same p-value.  The full form's
+off-diagonal entries, products of the stacked rows, agree with any other
+summation to rounding.  The price is one single-column solve and
 reflector product per row where ``fit_ols`` could make one product of p
 columns.
 
@@ -214,6 +217,27 @@ def _solve(factor, b, trans):
     return x
 
 
+def _row(factor, tau, resid, a, k, z=None):
+    """One covariance row's work, the only code that does it.
+
+    Writes e_k into the zero (n, 1) column-major column ``a``, k being
+    the row's pivot position, solves R'z = e_k in place and takes z'z;
+    copies z into ``z`` when a row of Z is given; then forms
+    diag(e) Q [z; 0] in a's place and takes its square norm.  Returns
+    ``(z'z, a'a)``.
+    """
+    a[k] = 1.0
+    a = _solve(factor, a, 1)
+    zz = a[:factor.shape[1], 0]
+    if z is not None:
+        z[:] = zz
+    zz = zz.dot(zz)
+    a = _apply_q("N", factor, tau, a)[:, 0]
+    a *= resid
+    # x.dot(x) is x @ x, the same BLAS ddot, at half the call cost
+    return zz, a.dot(a)
+
+
 def ols_sandwich(X, y, hc1=False, rows=None):
     """Fit least squares and compute classical + sandwich covariance rows.
 
@@ -227,18 +251,16 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         that, by the checking rule of :mod:`impactreg.regression`, so
         the kernel does not.
     hc1 : scale the sandwich by n/(n-p).
-    rows : the covariance rows read: ``None`` for all of them, a tuple
-        of coefficients for the ``len(rows)`` x ``len(rows)`` blocks of
-        the full p x p matrices at ``rows``, in that order, an int j for
-        row j alone, or ``()`` for none.  What keeps its bits whatever
-        ``rows`` is: see the module docstring.
+    rows : the covariance rows read: ``None`` for all of them, an int j
+        for row j alone, or ``()`` for none.  What keeps its bits
+        whatever ``rows`` is: see the module docstring.
 
     Returns
     -------
     (coef, resid, classical, sandwich, rank, pivots)
-    where ``classical`` and ``sandwich`` are the blocks at ``rows``, or
-    with an int j the two variances of coefficient j as scalars.  With
-    ``rows=()`` only ``resid`` is computed, and the other three are
+    where ``classical`` and ``sandwich`` are the full p x p matrices,
+    or with an int j the two variances of coefficient j as scalars.
+    With ``rows=()`` only ``resid`` is computed, and the other three are
     ``None``.  All four are ``None`` when ``rank < p`` at relative pivot
     tolerance ``RANK_TOL``; ``pivots`` is the column permutation chosen
     by the factorization (decreasing pivot magnitude), so
@@ -263,56 +285,37 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         if rank < p:
             return None, None, None, None, rank, piv
 
-        # c = Q'y; R w = c[:p], solved in place; e = Q [0; c[p:]]
+        # c = Q'y; R w = c[:p], solved in place; e = Q [0; c[p:]].  The
+        # residuals alone read c[p:] only, so c[:p] is not solved
         c = _apply_q("T", factor, tau, np.array(y, dtype=float)[:, None])
-        if rows == ():
-            # the residuals alone: e reads c[p:] only, so c[:p] is not
-            # solved for the coefficients
-            c[:p].fill(0.0)
-            return (None, _apply_q("N", factor, tau, c)[:, 0], None, None,
-                    rank, piv)
-        c = _solve(factor, c, 0)
-        coef = np.empty(p)
-        coef.put(piv, c[:p, 0])
+        coef = None
+        if rows != ():
+            c = _solve(factor, c, 0)
+            coef = np.empty(p)
+            coef.put(piv, c[:p, 0])
         c[:p].fill(0.0)
         resid = _apply_q("N", factor, tau, c)[:, 0]
-        # x.dot(x) is x @ x, the same BLAS ddot, at half the call cost
+        if rows == ():
+            return None, resid, None, None, rank, piv
         scale = resid.dot(resid) / (n - p) if n > p else 0.0
         hc = n / (n - p) if hc1 else 1.0
         position = piv.tolist().index
-        if isinstance(rows, int):
-            # one row: the loop's body below, on one column of its own
-            a = np.zeros((n, 1), order="F")
-            a[position(rows)] = 1.0
-            a = _solve(factor, a, 1)
-            z = a[:p, 0]
-            classical = z.dot(z) * scale
-            a = _apply_q("N", factor, tau, a)[:, 0]
-            a *= resid
-            return coef, resid, classical, a.dot(a) * hc, rank, piv
-        if rows is None:
-            rows = range(p)
-        k = len(rows)
-        classical = np.empty((k, k))
-        sandwich = np.empty((k, k))
-        Zt = np.empty((k, p))
-        # column i of A is a_i, solved and multiplied in its place; A.T
-        # is laid out as the (k, n) row-major stack of the a_i
-        A = np.zeros((n, k), order="F")
-        for i, row in enumerate(rows):
-            # R'z = e_j, j the row's pivot position, and a = diag(e) Q [z; 0]
-            a = A[:, i:i + 1]
-            a[position(row)] = 1.0
-            a = _solve(factor, a, 1)
-            Zt[i] = z = a[:p, 0]
-            classical[i, i] = z.dot(z) * scale
-            a = _apply_q("N", factor, tau, a)[:, 0]
-            a *= resid
-            sandwich[i, i] = a.dot(a)
-        if k > 1:
-            # the off-diagonal entries of s^2 Z'Z and A'A
-            off = ~np.eye(k, dtype=bool)
-            classical[off] = (Zt @ Zt.T)[off] * scale
-            sandwich[off] = (A.T @ A)[off]
+        if rows is not None:
+            zz, aa = _row(factor, tau, resid, np.zeros((n, 1), order="F"),
+                          position(rows))
+            return coef, resid, zz * scale, aa * hc, rank, piv
+        # column i of A is a_i, formed in its place; A.T is laid out as
+        # the (p, n) row-major stack of the a_i
+        Zt = np.empty((p, p))
+        A = np.zeros((n, p), order="F")
+        sums = [_row(factor, tau, resid, A[:, i:i + 1], position(i), Zt[i])
+                for i in range(p)]
+        classical = Zt @ Zt.T
+        sandwich = A.T @ A
+        # each diagonal entry from its own row's sums
+        zz, aa = zip(*sums)
+        np.fill_diagonal(classical, zz)
+        np.fill_diagonal(sandwich, aa)
+        classical *= scale
         sandwich *= hc
         return coef, resid, classical, sandwich, rank, piv

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ImpactregError, InvalidConfig, NumericalError
-from .hierarchy import run_hierarchy
+from .hierarchy import _check_alpha, run_hierarchy
 from .impact import (linear_mean_impact, linear_mean_slope, mod_r2,
                      partial_linear_mean_impact, partial_linear_mean_slope)
 from .oracle import (DiscreteJoint, constrained_sup_check, population_params,
@@ -80,9 +80,7 @@ def _load_dataset(args):
 
 def _check_analyze_flags(args, adjust):
     """Reject bad values and flag combinations that would be ignored."""
-    # false for nan and the infinities too
-    if not 0.0 < args.alpha < 1.0:
-        raise InvalidConfig(f"--alpha must be in (0, 1), got {args.alpha}")
+    _check_alpha(args.alpha, "--alpha")
     if args.hierarchy:
         if args.adjust is not None:
             raise InvalidConfig(

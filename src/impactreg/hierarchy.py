@@ -30,10 +30,11 @@ pick's raw column at the boundary, and fitted.  Each correlation pass
 reads the remaining candidates as one contiguous slice, in position
 order, which no fit touches.  The steps' buffer is (n, q+2): each step
 fills its leading slice with its design ``[1, focus, first ordered
-candidates]`` and fits it.  Both loops ask only for what they
-read: the ordering's residualizations call the kernel for the residuals
-alone (``rows=()``), and each step is ``regression``'s one-coefficient
-test of the focus (``rows=1``), of which it reads the p-value.  By the
+candidates]`` and fits it.  Both loops ask only for what they read:
+the ordering's residualizations call the kernel for the residuals alone
+(``rows=()``), and each step is ``regression``'s one-coefficient test of
+the focus, ``_focus_test``, which asks for the focus's row alone (the
+int ``rows=1``) and of which the step reads the p-value.  By the
 kernel's row contract (see :mod:`impactreg.backend`), the ordering and
 the step p-values keep the bits of the ``fit_ols`` route.
 """
@@ -48,7 +49,7 @@ import numpy as np
 from . import backend
 from .dataset import Dataset
 from .errors import DegenerateCovariate, DimensionMismatch, InvalidConfig
-from .regression import _default_names, _focus, _norm, _validate
+from .regression import _default_names, _focus_test, _norm, _validate
 
 
 @dataclass(frozen=True)
@@ -205,10 +206,18 @@ def order_covariates(focus, candidates, data: Dataset):
     return [candidates[j] for j in perm]
 
 
+def _check_alpha(alpha, name="alpha"):
+    """``InvalidConfig`` unless alpha is in (0, 1]: the one rule for a
+    local level, wherever it is given; ``name`` is how the message calls
+    it.  alpha = 1 rejects every p-value, so every step is evaluated.
+    """
+    if not 0.0 < alpha <= 1.0:  # false for nan too
+        raise InvalidConfig(f"{name} must be in (0, 1], got {alpha!r}")
+
+
 def fixed_sequence_test(p_values, alpha):
     """Length of the maximal all-rejected prefix at local level alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidConfig("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     count = 0
     for p in p_values:
         if not 0.0 <= p <= 1.0:
@@ -232,8 +241,7 @@ def hierarchy_pvalues(y, x_focus, ordered, alpha, include_bivariate=False,
 
     Each step's p-value, and the error a step raises, are those of
     ``regression``'s one-coefficient test, ``_focus_test``, on the step's
-    leading slice of the design (the steps take its fields as a tuple,
-    ``_focus``), and so, by the kernel's row contract
+    leading slice of the design, and so, by the kernel's row contract
     (see :mod:`impactreg.backend`), the same bits as
     ``coefficient_test(fit_ols(...), 1)``.  The whole input is checked
     at entry, by the checking rule of :mod:`impactreg.regression`, so a
@@ -264,14 +272,12 @@ def _steps(y, source, columns, alpha, include_bivariate, flavor, reference,
 
     y and ``source`` are checked already; ``source`` is column-major and
     never written.  Raises ``InvalidConfig`` for an alpha outside (0, 1]
-    and when there is no step to test.  Each step builds its leading
-    slice of the design in one column-major buffer, which the kernel
-    factors in place.  ``column_names`` name the design's columns, by
-    default ``x0``, ``x1``, ...
+    (``_check_alpha``) and when there is no step to test.  Each step
+    builds its leading slice of the design in one column-major buffer,
+    which the kernel factors in place.  ``column_names`` name the
+    design's columns, by default ``x0``, ``x1``, ...
     """
-    # false for nan too; alpha = 1 evaluates every step
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidConfig(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     steps = len(columns) if include_bivariate else len(columns) - 1
     if steps < 1:
         raise InvalidConfig(
@@ -290,8 +296,8 @@ def _steps(y, source, columns, alpha, include_bivariate, flavor, reference,
             prefix = design[:, :p]
             _refill(prefix, source, columns[:p - 1])
             # field 3 of the test is its p-value
-            pvalue = _focus(y, prefix, 1, column_names, flavor, reference,
-                            response_norm)[3]
+            pvalue = _focus_test(y, prefix, 1, column_names, flavor,
+                                 reference, response_norm)[3]
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1

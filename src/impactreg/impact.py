@@ -87,8 +87,8 @@ def _slope_test(y, x, flavor="HC0", reference="student_t"):
     X[:, 0] = 1.0
     X[:, 1] = x
     try:
-        return _focus_test(y, X, 1, ("intercept", "x"), flavor, reference,
-                           _norm(y))
+        return CoefficientTest(*_focus_test(
+            y, X, 1, ("intercept", "x"), flavor, reference, _norm(y)))
     except ZeroStdError:
         # exact fit: the slope test is degenerate, report the value alone
         return None
@@ -126,9 +126,9 @@ def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
     x_res = residualize(focus, adjust, data)
     sx = _check_spread(x_res, f"residualized {focus!r}")
     try:
-        test = _focus_test(y, data.design([focus, *adjust]), 1,
-                           ("intercept", focus, *adjust), flavor, reference,
-                           _norm(y))
+        test = CoefficientTest(*_focus_test(
+            y, data.design([focus, *adjust]), 1,
+            ("intercept", focus, *adjust), flavor, reference, _norm(y)))
     except ZeroStdError as exc:
         # an exact fit: the test is degenerate, the coefficient is not
         return y, x_res, sx, exc.estimate, None

@@ -18,22 +18,22 @@ reference distribution.
 Every fit then goes through ``_fit``, which calls the column-pivoted QR
 kernel once, asking it only for the covariance rows its caller reads:
 ``fit_ols`` takes them all, ``residualize`` none, and ``_focus_test``,
-the one home of the test of a single coefficient (the comparator,
-``_coefficient_test``, impact's tests, ``slope_identity_check``, and
-the hierarchy's steps, which read its fields as a tuple from
-``_focus``), only the tested coefficient's.  Every test,
-on any route, is decided by ``_white_test``, so the exact-fit and
-zero-SE rule exists once, and from the same bits: a row's variances do
-not depend on the other rows asked for (the row contract of
+the one home of the test of a single coefficient, only the tested
+coefficient's.  It returns the test's fields as a tuple: impact's tests
+wrap them in a ``CoefficientTest``, and the hierarchy's steps, simulate's
+comparator and ``slope_identity_check`` read the fields they need.
+Every test, on any route, is decided by ``_white_test``, so the
+exact-fit and zero-SE rule exists once, and from the same bits: a row's
+variances do not depend on the other rows asked for (the row contract of
 :mod:`impactreg.backend`).
 
 The kernel factors the design it is given in place.  A design from
 outside the package is copied once, to column-major order, where it
-enters: ``fit_ols`` and ``_coefficient_test`` copy it, so the caller's
-arrays are never written.  A design the package builds itself is handed
-over as it is, with no second copy: ``residualize`` and impact's tests
-fit ``Dataset.design`` or a design of their own, and the hierarchy, the
-comparator and ``slope_identity_check`` fit buffers they own.
+enters: ``fit_ols`` copies it, so the caller's arrays are never written.
+A design the package builds itself is handed over as it is, with no
+second copy: ``residualize`` and impact's tests fit ``Dataset.design``
+or a design of their own, and the hierarchy, the comparator and
+``slope_identity_check`` fit buffers they own.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
 def _focus_test(y, X, index, column_names, flavor, reference,
                 response_norm):
     """White's test of coefficient ``index``, on input known to be
-    finite and to agree in rows.
+    finite and to agree in rows: the fields of its ``CoefficientTest``,
+    as a tuple.
 
     The one home of the test of a single coefficient: the kernel forms
     only that coefficient's covariance row, with the same bits as
@@ -219,29 +220,12 @@ def _focus_test(y, X, index, column_names, flavor, reference,
     reference)``.  ``response_norm`` is ||y||, taken once by a caller
     that tests several designs on one y.
     """
-    return CoefficientTest(*_focus(y, X, index, column_names, flavor,
-                                   reference, response_norm))
-
-
-def _focus(y, X, index, column_names, flavor, reference, response_norm):
-    """``_focus_test``'s fields as a tuple, in ``CoefficientTest``'s
-    order, for the hierarchy's steps, which read the p-value alone."""
     n, p = X.shape
     coef, resid, classical, sandwich = _fit(y, X, column_names, flavor,
                                             index)
     return _white_test(float(coef[index]), float(sandwich),
                        float(classical), n - p, _norm(resid),
                        response_norm, index, reference)
-
-
-def _coefficient_test(y, X, index, column_names=None, flavor="HC0",
-                      reference="student_t"):
-    """``_focus_test`` on input from outside the package, checked first;
-    the kernel fits a column-major copy of X, so X is left as it was."""
-    y, X, column_names = _validate(y, np.array(X, dtype=float, order="F"),
-                                   column_names)
-    return _focus_test(y, X, index, column_names, flavor, reference,
-                       _norm(y))
 
 
 def _white_test(estimate, variance, classical_variance, dof, resid_norm,

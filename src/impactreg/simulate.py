@@ -28,7 +28,7 @@ import numpy as np
 from . import backend
 from .dataset import Dataset
 from .errors import ImpactregError, InvalidConfig
-from .hierarchy import hierarchy_pvalues, order_indices
+from .hierarchy import _check_alpha, hierarchy_pvalues, order_indices
 from .regression import _default_names, _focus_test, _norm, _validate
 
 # beta per m used in the tables (R^2_x about 0.8 at k = m - 1)
@@ -42,19 +42,30 @@ _ZIGGURAT_R = 3.6541528853610088
 _MAX_DRAW = _ZIGGURAT_R + 53 * math.log(2) / _ZIGGURAT_R
 
 
+def _check_int(value, name):
+    """value as an int, or ``InvalidConfig`` naming it.
+
+    Any integer type is taken (a NumPy integer too), but not a bool and
+    not a float, even an integral one: the one rule for every count and
+    seed of a study.
+    """
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidConfig(f"{name} must be an int, got {value!r}")
+
+
 def _check_seed(seed):
     """The seed as an int in [0, 2^64), or ``InvalidConfig``.
 
-    Any integer type is taken (a NumPy integer too, not a bool).  The
-    seed fills the upper 64 bits of each replication's Philox key, so
+    The seed fills the upper 64 bits of each replication's Philox key, so
     outside that range two seeds would share a stream (-1 and 2^64 - 1,
     5 and 2^64 + 5) while their reports recorded different seeds.
     """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = None
-    if isinstance(seed, bool) or value is None or not 0 <= value < 2 ** 64:
+    value = _check_int(seed, "seed")
+    if not 0 <= value < 2 ** 64:
         raise InvalidConfig(
             f"seed must be an int in [0, 2**64), got {seed!r}")
     return value
@@ -89,6 +100,12 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _check_seed(self.seed))
+        for name in ("m", "k", "n", "replications"):
+            object.__setattr__(self, name,
+                               _check_int(getattr(self, name), name))
+        if not isinstance(self.include_bivariate, bool):
+            raise InvalidConfig(f"include_bivariate must be a bool, got "
+                                f"{self.include_bivariate!r}")
         if self.m < 2:
             raise InvalidConfig("need m >= 2")
         if not 1 <= self.k <= self.m - 1:
@@ -123,8 +140,7 @@ class SimConfig:
                     f"{name} is too large for n = {self.n}: generated "
                     f"values may reach {bound:.3g}, and n times their "
                     f"square overflows")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfig("alpha must be in (0, 1)")
+        _check_alpha(self.alpha)
         if self.flavor not in ("HC0", "HC1"):
             raise InvalidConfig(f"unknown sandwich flavor {self.flavor!r}")
         if self.reference not in ("student_t", "normal"):
@@ -255,9 +271,10 @@ def _replicate(config: SimConfig, replication_index: int):
         design = np.empty((config.n, config.m + 1), order="F")
         design[:, 0] = 1.0
         design[:, 1:] = X
-        test = _focus_test(y, design, 1, _default_names(config.m + 1),
-                           config.flavor, config.reference, _norm(y))
-        reject_full = test.p_value <= config.alpha
+        # field 3 of the test is its p-value
+        pvalue = _focus_test(y, design, 1, _default_names(config.m + 1),
+                             config.flavor, config.reference, _norm(y))[3]
+        reject_full = pvalue <= config.alpha
         return false_reject, confounders, final_reject, reject_full, False
     except (ImpactregError, np.linalg.LinAlgError):
         return False, 0, False, False, True
@@ -272,6 +289,7 @@ def _replicate_chunk(config: SimConfig, indices):
 
 def run_study(config: SimConfig, threads: int = 1) -> SimReport:
     """Run all replications and aggregate; deterministic given the seed."""
+    threads = _check_int(threads, "threads")
     if threads < 1:
         raise InvalidConfig(f"need threads >= 1, got {threads}")
     reps = config.replications
@@ -366,6 +384,8 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     X[:, 1] = x1
     X[:, 2] = x2
     y, X, names = _validate(y, X)
-    test = _focus_test(y, X, 1, names, "HC0", "student_t", _norm(y))
-    return SlopeIdentity(estimate=test.estimate, target=target,
-                         std_error=test.std_error)
+    # fields 0 and 1 of the test are its estimate and standard error
+    estimate, std_error = _focus_test(y, X, 1, names, "HC0", "student_t",
+                                      _norm(y))[:2]
+    return SlopeIdentity(estimate=estimate, target=target,
+                         std_error=std_error)

@@ -85,7 +85,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("bivariate", [[], ["--include-bivariate"]],
                              ids=["steps", "bivariate"])
-    @pytest.mark.parametrize("alpha", ["0.05", "0.999"])
+    @pytest.mark.parametrize("alpha", ["0.05", "0.999", "1"])
     def test_csv_hierarchy_rows_are_the_json_steps(self, tmp_path, bivariate,
                                                    alpha):
         # one row per step, named by the covariate the step adds (none for
@@ -102,7 +102,9 @@ class TestAnalyze:
         assert run([*argv, "--out", str(tmp_path / "r.json")]) == 0
         assert run([*argv, "--format", "csv",
                     "--out", str(tmp_path / "r.csv")]) == 0
-        steps = json.loads((tmp_path / "r.json").read_text())["hierarchy"]
+        report = json.loads((tmp_path / "r.json").read_text())
+        jsonschema.validate(report, load_schema())
+        steps = report["hierarchy"]
         rows = [line.split(",") for line
                 in (tmp_path / "r.csv").read_text().splitlines()
                 if line.startswith("hierarchy_step")]
@@ -256,7 +258,7 @@ class TestAnalyze:
         assert "requires --hierarchy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-1",
-                                       "1", "1.5"])
+                                       "1.5"])
     @pytest.mark.parametrize("hierarchy", [[], ["--hierarchy"]],
                              ids=["estimates", "hierarchy"])
     def test_alpha_outside_the_unit_interval_exit_2(self, tmp_path, capsys,
@@ -266,7 +268,7 @@ class TestAnalyze:
                     "--response", "y", "--focus", "x1", f"--alpha={alpha}",
                     *hierarchy])
         assert code == 2
-        assert "--alpha must be in (0, 1)" in capsys.readouterr().err
+        assert "--alpha must be in (0, 1]" in capsys.readouterr().err
 
     def test_collinear_adjustment_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -12,7 +12,9 @@ from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
                               ImpactregError, InvalidConfig, NonFinite,
                               RankDeficient)
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
-from impactreg.regression import _coefficient_test, _validate
+from impactreg.regression import _validate
+
+from conftest import focus_pvalue
 
 
 def brute_force_order(x_focus, candidates):
@@ -149,10 +151,7 @@ def step_loop(test):
     return loop
 
 
-# the validated one-coefficient route, which forms only the focus row
-row_steps = step_loop(lambda y, X, names, flavor, reference:
-                      _coefficient_test(y, X, 1, names, flavor,
-                                        reference).p_value)
+row_steps = step_loop(focus_pvalue)
 # the public route, which forms every covariance row
 fit_ols_steps = step_loop(lambda y, X, names, flavor, reference:
                           coefficient_test(fit_ols(y, X, names, flavor), 1,
@@ -363,10 +362,14 @@ class TestFixedSequence:
         assert counts == sorted(counts)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match=r"alpha must be in \(0, 1\]"):
             fixed_sequence_test([0.5], 0.0)
         with pytest.raises(ValueError):
             fixed_sequence_test([1.5], 0.05)
+
+    def test_alpha_one_rejects_every_step(self):
+        # the level rule of the step loop: (0, 1], 1 included
+        assert fixed_sequence_test([0.5, 0.9], 1.0) == 2
 
 
 class TestRunHierarchy:

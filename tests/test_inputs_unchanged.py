@@ -15,7 +15,6 @@ from impactreg import (apply_transforms, fit_ols, linear_mean_impact,
                        read_csv, residualize, run_hierarchy, write_csv)
 from impactreg.dataset import Dataset
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
-from impactreg.regression import _coefficient_test
 from impactreg.transforms import TransformSpec
 
 LAYOUTS = ["C", "F", "strided", "read-only", "integer"]
@@ -72,11 +71,6 @@ class TestArrayRoutes:
     def test_fit_ols(self, layout):
         y, _, cand = problem()
         self.run(lambda y, X: fit_ols(y, X), layout, y, with_intercept(cand))
-
-    def test_coefficient_test(self, layout):
-        y, _, cand = problem()
-        self.run(lambda y, X: _coefficient_test(y, X, 1), layout, y,
-                 with_intercept(cand))
 
     @pytest.mark.parametrize("estimator", [linear_mean_impact,
                                            linear_mean_slope, mod_r2])

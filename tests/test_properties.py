@@ -14,14 +14,15 @@ from hypothesis.extra import numpy as hnp
 from impactreg import (Dataset, SimConfig, backend, coefficient_test,
                        fixed_sequence_test, fit_ols, linear_mean_impact,
                        mod_r2, partial_linear_mean_impact,
-                       partial_linear_mean_slope, read_csv, residualize,
-                       write_csv)
+                       partial_linear_mean_slope, read_csv,
+                       residualize, write_csv)
 from impactreg.errors import RankDeficient, ZeroStdError
 from impactreg.hierarchy import hierarchy_pvalues, order_indices
 from impactreg.impact import sd_n
-from impactreg.regression import _coefficient_test
 from impactreg.simulate import generate_arrays
 from impactreg.transforms import _read_csv_stream
+
+from conftest import focus_pvalue
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -211,15 +212,14 @@ def test_units_do_not_change_the_test(replication, k, flavor):
     y, X = replication
     design = np.column_stack([np.ones(len(y)), X])
     want = coefficient_test(fit_ols(y, design, flavor=flavor), 1).p_value
-    want_row = _coefficient_test(y, design, 1, flavor=flavor).p_value
+    want_row = focus_pvalue(y, design, flavor=flavor)
     exact = design @ np.linspace(-1.0, 2.0, design.shape[1])
     scale = 2.0 ** k
     for y_k, exact_k, design_k in ((y * scale, exact * scale, design),
                                    (y, exact, design * scale)):
         got = coefficient_test(fit_ols(y_k, design_k, flavor=flavor), 1)
         assert got.p_value.hex() == want.hex()
-        got = _coefficient_test(y_k, design_k, 1, flavor=flavor)
-        assert got.p_value.hex() == want_row.hex()
+        assert focus_pvalue(y_k, design_k, flavor=flavor).hex() == want_row.hex()
         with pytest.raises(ZeroStdError):
             coefficient_test(fit_ols(exact_k, design_k, flavor=flavor), 1)
 
@@ -246,30 +246,32 @@ def kernel_designs(draw):
     return X, X @ rng.standard_normal(p) + noise
 
 
-@given(kernel_designs(), st.booleans(), st.data())
+@given(kernel_designs(), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_covariance_rows_are_blocks_of_the_full_matrices(problem, hc1, data):
-    # every requested block is the full matrices' block at those rows:
-    # the diagonal with the same bits (a row's variances are summed
-    # alone), the rest to 1e-13 of sqrt(S_ii S_jj), summed in another
-    # order.  The fit keeps its bits whatever the rows.
+def test_the_three_rows_forms_keep_the_bits_of_the_full_call(problem, hc1):
+    # rows=None, an int j and (): the fit (coefficients where returned,
+    # residuals, rank, pivots) has the same bits in every form, row j's
+    # two scalars are the full matrices' diagonal entries j, bit for
+    # bit, and the full matrices are exactly symmetric
     X, y = problem
     p = X.shape[1]
-    full = backend.ols_sandwich(X, y, hc1)
-    assert full[4] == p
-    subset = data.draw(st.permutations(range(p)))
-    for rows in [(j,) for j in range(p)] + [
-            tuple(subset[:data.draw(st.integers(2, p))])]:
-        got = backend.ols_sandwich(X, y, hc1, rows)
-        for g, w in zip(got[:2], full[:2]):
-            assert g.tobytes() == w.tobytes()
-        assert got[4] == full[4] and np.array_equal(got[5], full[5])
-        for g, w in zip(got[2:4], full[2:4]):
-            block = w[np.ix_(rows, rows)]
-            assert g.shape == block.shape
-            assert np.diag(g).tobytes() == np.diag(block).tobytes()
-            scale = np.sqrt(np.outer(np.diag(block), np.diag(block)))
-            assert (np.abs(g - block) <= 1e-13 * scale).all()
+    coef, resid, classical, sandwich, rank, piv = \
+        backend.ols_sandwich(X, y, hc1)
+    assert rank == p
+    for matrix in (classical, sandwich):
+        assert matrix.shape == (p, p)
+        assert matrix.tobytes() == matrix.T.copy().tobytes()
+    got = backend.ols_sandwich(X, y, hc1, ())
+    assert (got[0], got[2], got[3]) == (None, None, None)
+    assert got[1].tobytes() == resid.tobytes()
+    assert got[4] == rank and np.array_equal(got[5], piv)
+    for j in range(p):
+        got = backend.ols_sandwich(X, y, hc1, j)
+        assert np.ndim(got[2]) == 0 and np.ndim(got[3]) == 0
+        for g, w in zip(got[:4], (coef, resid, classical[j, j],
+                                  sandwich[j, j])):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert got[4] == rank and np.array_equal(got[5], piv)
 
 
 @given(study_replications(), st.floats(min_value=-1e3, max_value=1e3),

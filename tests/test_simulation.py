@@ -23,12 +23,47 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"m": 1}, {"k": 0}, {"k": 5, "m": 5}, {"n": 6, "m": 5},
-        {"replications": 0}, {"alpha": 0.0}, {"alpha": 1.0},
+        {"replications": 0}, {"alpha": 0.0}, {"alpha": 1.5},
         {"flavor": "HC9"}, {"reference": "cauchy"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs)
+
+    def test_alpha_one_is_valid(self):
+        # the hierarchy's rule, (0, 1]: alpha = 1 evaluates every step
+        assert SimConfig(alpha=1.0).alpha == 1.0
+
+    @pytest.mark.parametrize("name", ["m", "k", "n", "replications"])
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3", True,
+                                       None])
+    def test_rejects_counts_that_are_not_ints(self, name, value):
+        # a float n used to pass the config and fail inside the first
+        # replication with NumPy's TypeError
+        settings = {"m": 3, "k": 2, "n": 50, "replications": 3}
+        settings[name] = value
+        with pytest.raises(InvalidConfig, match=f"{name} must be an int"):
+            SimConfig(**settings)
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        config = SimConfig(m=np.int64(3), k=np.int32(2), n=np.int64(50),
+                           replications=np.uint8(3), seed=np.int64(4))
+        assert all(type(getattr(config, name)) is int
+                   for name in ("m", "k", "n", "replications", "seed"))
+        assert run_study(config) == run_study(
+            SimConfig(m=3, k=2, n=50, replications=3, seed=4))
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
+    def test_rejects_include_bivariate_that_is_not_a_bool(self, value):
+        # "no" used to be kept, and the study ran the bivariate step
+        with pytest.raises(InvalidConfig, match="include_bivariate"):
+            SimConfig(include_bivariate=value)
+
+    @pytest.mark.parametrize("threads", [2.0, "2", True, None])
+    def test_rejects_thread_counts_that_are_not_ints(self, threads):
+        with pytest.raises(InvalidConfig, match="threads must be an int"):
+            run_study(SimConfig(m=3, k=2, n=50, replications=3),
+                      threads=threads)
 
     @pytest.mark.parametrize("name", ["beta", "gamma", "theta1"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1"])
@@ -363,7 +398,8 @@ class TestRunStudy:
 
         def full_model(*args):
             test = _focus_test(*args)
-            record.update(f"{test.p_value.hex()};".encode())
+            # field 3 of the test is its p-value
+            record.update(f"{test[3].hex()};".encode())
             return test
 
         monkeypatch.setattr(simulate, "order_indices", ordering)

@@ -13,14 +13,14 @@ and applies the HC1 factor n/(n-p).
 Callers name the covariance rows they read (``rows``), in one of three
 forms, and the kernel does only the work those rows need.
 ``rows=None`` is every row: ``regression.fit_ols``, the public route,
-gets the p x p matrices.  An int j is row j alone: the one-coefficient
-test of ``regression`` (the steps of ``hierarchy.hierarchy_pvalues``,
-simulate's full-model comparator, ``slope_identity_check``, impact's
-slope and partial tests) names the focus row and gets its two variances
-as scalars.  ``rows=()`` is no row: the residualizations of
-``hierarchy.order_indices`` and ``regression.residualize`` get the
-residuals alone, and the kernel returns them before it solves for the
-coefficients.
+gets the p x p matrices.  An integer j, of any integer type, is row j
+alone: the one-coefficient test of ``regression`` (the steps of
+``hierarchy.hierarchy_pvalues``, simulate's full-model comparator,
+``slope_identity_check``, impact's slope and partial tests) names the
+focus row and gets its two variances as scalars.  ``rows=()`` is no
+row: the residualizations of ``hierarchy.order_indices`` and
+``regression.residualize`` get the residuals alone, and the kernel
+returns them before it solves for the coefficients.
 
 The row contract, which the other modules rely on: the residuals, rank
 and pivots are the same bits for any ``rows``, the coefficients too
@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import threading
 
 import numpy as np
@@ -251,9 +252,10 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         that, by the checking rule of :mod:`impactreg.regression`, so
         the kernel does not.
     hc1 : scale the sandwich by n/(n-p).
-    rows : the covariance rows read: ``None`` for all of them, an int j
-        for row j alone, or ``()`` for none.  What keeps its bits
-        whatever ``rows`` is: see the module docstring.
+    rows : the covariance rows read: ``None`` for all of them, an
+        integer j (a NumPy integer too) for row j alone, or ``()`` for
+        none.  What keeps its bits whatever ``rows`` is: see the module
+        docstring.
 
     Returns
     -------
@@ -269,6 +271,11 @@ def ols_sandwich(X, y, hc1=False, rows=None):
     """
     if not X.flags.writeable:
         raise ValueError("the kernel factors X in place: X is read-only")
+    # the three forms of rows, told apart by type: a NumPy integer's
+    # ``== ()`` is an array, not a bool
+    residual_only = isinstance(rows, tuple)
+    if not (residual_only or rows is None):
+        rows = operator.index(rows)
     with _ONE_BLAS_THREAD:
         # X P = Q R: dgeqp3 leaves R in the upper triangle of X and the
         # Householder vectors below it
@@ -289,13 +296,13 @@ def ols_sandwich(X, y, hc1=False, rows=None):
         # residuals alone read c[p:] only, so c[:p] is not solved
         c = _apply_q("T", factor, tau, np.array(y, dtype=float)[:, None])
         coef = None
-        if rows != ():
+        if not residual_only:
             c = _solve(factor, c, 0)
             coef = np.empty(p)
             coef.put(piv, c[:p, 0])
         c[:p].fill(0.0)
         resid = _apply_q("N", factor, tau, c)[:, 0]
-        if rows == ():
+        if residual_only:
             return None, resid, None, None, rank, piv
         scale = resid.dot(resid) / (n - p) if n > p else 0.0
         hc = n / (n - p) if hc1 else 1.0

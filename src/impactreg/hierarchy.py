@@ -42,6 +42,7 @@ the step p-values keep the bits of the ``fit_ols`` route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -207,11 +208,14 @@ def order_covariates(focus, candidates, data: Dataset):
 
 
 def _check_alpha(alpha, name="alpha"):
-    """``InvalidConfig`` unless alpha is in (0, 1]: the one rule for a
-    local level, wherever it is given; ``name`` is how the message calls
-    it.  alpha = 1 rejects every p-value, so every step is evaluated.
+    """``InvalidConfig`` unless alpha is a real number in (0, 1], and
+    not a bool: the one rule for a local level, wherever it is given;
+    ``name`` is how the message calls it.  alpha = 1 rejects every
+    p-value, so every step is evaluated.
     """
-    if not 0.0 < alpha <= 1.0:  # false for nan too
+    # the range is false for nan too
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not 0.0 < alpha <= 1.0):
         raise InvalidConfig(f"{name} must be in (0, 1], got {alpha!r}")
 
 
@@ -295,9 +299,8 @@ def _steps(y, source, columns, alpha, include_bivariate, flavor, reference,
             p = first + step
             prefix = design[:, :p]
             _refill(prefix, source, columns[:p - 1])
-            # field 3 of the test is its p-value
             pvalue = _focus_test(y, prefix, 1, column_names, flavor,
-                                 reference, response_norm)[3]
+                                 reference, response_norm).p_value
             pvalues[step] = pvalue
             if pvalue <= alpha:
                 rejected += 1

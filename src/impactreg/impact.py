@@ -8,7 +8,7 @@ centring first: the one-pass E[a^2] - E[a]^2 cancels for data far from 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ImpactEstimate:
             "adjusted_for": list(self.adjusted_for),
         }
         if self.test is not None:
-            d["test"] = asdict(self.test)
+            d["test"] = self.test._asdict()
         return d
 
 
@@ -80,41 +80,47 @@ def _check_spread(x, what="covariate"):
     return s
 
 
-def _slope_test(y, x, flavor="HC0", reference="student_t"):
-    # y and x passed _check_pair.  X is built column-major, so the kernel
-    # factors it where it lies
+def _coefficient(y, X, names, flavor, reference):
+    """``(estimate, test)`` of X's column 1: its ``_focus_test``, or, for
+    an exact fit, whose test is degenerate, the coefficient and None.
+
+    The one place where impact's estimators catch ``ZeroStdError``.
+    """
+    try:
+        test = _focus_test(y, X, 1, names, flavor, reference, _norm(y))
+    except ZeroStdError as exc:
+        return exc.estimate, None
+    return test.estimate, test
+
+
+def _bivariate(y, x, focus, flavor, reference):
+    """The checked pair's ``(cov_n(y, x), SD(x), the slope's test)``."""
+    y, x = _check_pair(y, x)
+    sx = _check_spread(x, focus)
+    # column-major, so the kernel factors it where it lies
     X = np.empty((x.shape[0], 2), order="F")
     X[:, 0] = 1.0
     X[:, 1] = x
-    try:
-        return CoefficientTest(*_focus_test(
-            y, X, 1, ("intercept", "x"), flavor, reference, _norm(y)))
-    except ZeroStdError:
-        # exact fit: the slope test is degenerate, report the value alone
-        return None
+    _, test = _coefficient(y, X, ("intercept", "x"), flavor, reference)
+    return cov_n(y, x), sx, test
 
 
 def linear_mean_impact(y, x, target="y", focus="x", flavor="HC0",
                        reference="student_t"):
     """|Cov(y, x)| / SD(x), with White's robust slope test attached."""
-    y, x = _check_pair(y, x)
-    sx = _check_spread(x, focus)
-    value = abs(cov_n(y, x)) / sx
-    test = _slope_test(y, x, flavor, reference)
-    return ImpactEstimate(kind="linear_impact", value=value, target=target,
-                          focus=focus, test=test)
+    cov, sx, test = _bivariate(y, x, focus, flavor, reference)
+    return ImpactEstimate(kind="linear_impact", value=abs(cov) / sx,
+                          target=target, focus=focus, test=test)
 
 
 def linear_mean_slope(y, x, signed=False, target="y", focus="x",
                       flavor="HC0", reference="student_t"):
     """Bivariate least-squares slope; equals linear impact / SD(x)."""
-    y, x = _check_pair(y, x)
-    sx = _check_spread(x, focus)
-    slope = cov_n(y, x) / sx ** 2
-    value = slope if signed else abs(slope)
-    test = _slope_test(y, x, flavor, reference)
-    return ImpactEstimate(kind="linear_slope", value=value, target=target,
-                          focus=focus, test=test)
+    cov, sx, test = _bivariate(y, x, focus, flavor, reference)
+    slope = cov / sx ** 2
+    return ImpactEstimate(kind="linear_slope",
+                          value=slope if signed else abs(slope),
+                          target=target, focus=focus, test=test)
 
 
 def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
@@ -125,14 +131,10 @@ def _partial_fit(y_col, focus, adjust, data: Dataset, flavor, reference):
     y = data.column(y_col)
     x_res = residualize(focus, adjust, data)
     sx = _check_spread(x_res, f"residualized {focus!r}")
-    try:
-        test = CoefficientTest(*_focus_test(
-            y, data.design([focus, *adjust]), 1,
-            ("intercept", focus, *adjust), flavor, reference, _norm(y)))
-    except ZeroStdError as exc:
-        # an exact fit: the test is degenerate, the coefficient is not
-        return y, x_res, sx, exc.estimate, None
-    return y, x_res, sx, test.estimate, test
+    coef, test = _coefficient(y, data.design([focus, *adjust]),
+                              ("intercept", focus, *adjust), flavor,
+                              reference)
+    return y, x_res, sx, coef, test
 
 
 def partial_linear_mean_impact(y_col, focus, adjust, data: Dataset,

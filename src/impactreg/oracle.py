@@ -180,10 +180,15 @@ def _population_residual(joint: DiscreteJoint, k):
 
 
 def exact_partial_linear_impact(joint: DiscreteJoint, k=0):
-    """Partial linear mean impact of X_k: |E[Y Xtilde_k]| / SD(Xtilde_k)."""
+    """Partial linear mean impact of X_k: |E[Y Xtilde_k]| / SD(Xtilde_k).
+
+    ``DegenerateCovariate`` when SD(Xtilde_k) is at most 1e-12 SD(X_k):
+    X_k is then determined by the other covariates, and its residual is
+    rounding noise of X_k's size, not 0.
+    """
     resid = _population_residual(joint, k)
     s = _sd(joint, resid)
-    if s <= 0.0:
+    if s <= 1e-12 * _sd(joint, joint.x[:, k]):
         raise DegenerateCovariate(
             f"covariate {k} is determined by the other covariates")
     return abs(_expect(joint, joint.y * resid)) / s

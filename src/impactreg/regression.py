@@ -19,13 +19,13 @@ Every fit then goes through ``_fit``, which calls the column-pivoted QR
 kernel once, asking it only for the covariance rows its caller reads:
 ``fit_ols`` takes them all, ``residualize`` none, and ``_focus_test``,
 the one home of the test of a single coefficient, only the tested
-coefficient's.  It returns the test's fields as a tuple: impact's tests
-wrap them in a ``CoefficientTest``, and the hierarchy's steps, simulate's
-comparator and ``slope_identity_check`` read the fields they need.
-Every test, on any route, is decided by ``_white_test``, so the
-exact-fit and zero-SE rule exists once, and from the same bits: a row's
-variances do not depend on the other rows asked for (the row contract of
-:mod:`impactreg.backend`).
+coefficient's.  It returns the test as a ``CoefficientTest``, a named
+tuple: impact's tests attach it as it is, and the hierarchy's steps,
+simulate's comparator and ``slope_identity_check`` read the fields they
+need by name.  Every test, on any route, is built and decided by
+``_white_test``, so the exact-fit and zero-SE rule exists once, and from
+the same bits: a row's variances do not depend on the other rows asked
+for (the row contract of :mod:`impactreg.backend`).
 
 The kernel factors the design it is given in place.  A design from
 outside the package is copied once, to column-major order, where it
@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, stdtr
@@ -70,8 +71,7 @@ def _norm(v):
     return math.sqrt(np.einsum("i,i->", v, v))
 
 
-@dataclass(frozen=True)
-class CoefficientTest:
+class CoefficientTest(NamedTuple):
     """Two-sided robust test of a single regression coefficient."""
 
     estimate: float
@@ -201,17 +201,16 @@ def coefficient_test(fit: FitResult, index: int, reference="student_t"):
     """
     if not 0 <= index < fit.p:
         raise DimensionMismatch(f"coefficient index {index} out of range")
-    return CoefficientTest(*_white_test(
+    return _white_test(
         float(fit.coefficients[index]), float(fit.sandwich_cov[index, index]),
         float(fit.classical_cov[index, index]), fit.dof,
-        _norm(fit.residuals), fit.response_norm, index, reference))
+        _norm(fit.residuals), fit.response_norm, index, reference)
 
 
 def _focus_test(y, X, index, column_names, flavor, reference,
                 response_norm):
-    """White's test of coefficient ``index``, on input known to be
-    finite and to agree in rows: the fields of its ``CoefficientTest``,
-    as a tuple.
+    """White's test of coefficient ``index``, as a ``CoefficientTest``,
+    on input known to be finite and to agree in rows.
 
     The one home of the test of a single coefficient: the kernel forms
     only that coefficient's covariance row, with the same bits as
@@ -230,8 +229,8 @@ def _focus_test(y, X, index, column_names, flavor, reference,
 
 def _white_test(estimate, variance, classical_variance, dof, resid_norm,
                 response_norm, index, reference):
-    """White's test of coefficient ``index`` from the scalars it reads:
-    the fields of its ``CoefficientTest``, as a tuple.
+    """White's test of coefficient ``index`` from the scalars it reads,
+    as a ``CoefficientTest``: the one place that builds one.
 
     The one home of the exact-fit and zero-SE rule (see
     ``coefficient_test``): every route decides its tests here.
@@ -243,8 +242,9 @@ def _white_test(estimate, variance, classical_variance, dof, resid_norm,
             f"degenerate fit: robust standard error of coefficient {index} "
             f"is {std_error:.3e}", estimate)
     statistic = estimate / std_error
-    return (estimate, std_error, statistic,
-            two_sided_pvalue(statistic, dof, reference), reference, dof)
+    return CoefficientTest(estimate, std_error, statistic,
+                           two_sided_pvalue(statistic, dof, reference),
+                           reference, dof)
 
 
 def residualize(target_column: str, on_columns, data: Dataset):

@@ -271,9 +271,9 @@ def _replicate(config: SimConfig, replication_index: int):
         design = np.empty((config.n, config.m + 1), order="F")
         design[:, 0] = 1.0
         design[:, 1:] = X
-        # field 3 of the test is its p-value
         pvalue = _focus_test(y, design, 1, _default_names(config.m + 1),
-                             config.flavor, config.reference, _norm(y))[3]
+                             config.flavor, config.reference,
+                             _norm(y)).p_value
         reject_full = pvalue <= config.alpha
         return false_reject, confounders, final_reject, reject_full, False
     except (ImpactregError, np.linalg.LinAlgError):
@@ -384,8 +384,6 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     X[:, 1] = x1
     X[:, 2] = x2
     y, X, names = _validate(y, X)
-    # fields 0 and 1 of the test are its estimate and standard error
-    estimate, std_error = _focus_test(y, X, 1, names, "HC0", "student_t",
-                                      _norm(y))[:2]
-    return SlopeIdentity(estimate=estimate, target=target,
-                         std_error=std_error)
+    test = _focus_test(y, X, 1, names, "HC0", "student_t", _norm(y))
+    return SlopeIdentity(estimate=test.estimate, target=target,
+                         std_error=test.std_error)

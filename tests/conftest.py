@@ -21,6 +21,6 @@ def pytest_terminal_summary(terminalreporter):
 
 def focus_pvalue(y, X, names=None, flavor="HC0", reference="student_t"):
     """The p-value of the one-coefficient route, which forms only row 1,
-    on a checked column-major copy of X (field 3 of the test)."""
+    on a checked column-major copy of X."""
     y, X, names = _validate(y, np.array(X, dtype=float, order="F"), names)
-    return _focus_test(y, X, 1, names, flavor, reference, _norm(y))[3]
+    return _focus_test(y, X, 1, names, flavor, reference, _norm(y)).p_value

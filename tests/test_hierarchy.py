@@ -362,8 +362,11 @@ class TestFixedSequence:
         assert counts == sorted(counts)
 
     def test_validation(self):
-        with pytest.raises(InvalidConfig, match=r"alpha must be in \(0, 1\]"):
-            fixed_sequence_test([0.5], 0.0)
+        # a string, None and a bool used to raise TypeError or pass
+        for alpha in (0.0, "0.05", None, True):
+            with pytest.raises(InvalidConfig,
+                               match=r"alpha must be in \(0, 1\]"):
+                fixed_sequence_test([0.5], alpha)
         with pytest.raises(ValueError):
             fixed_sequence_test([1.5], 0.05)
 
@@ -433,10 +436,12 @@ class TestRunHierarchy:
             hierarchy_pvalues(data.column("y"), data.column("x1"),
                               np.empty((data.n, 0)), 0.05)
 
-    @pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, 1.5])
+    @pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, 1.5, "0.05", None,
+                                       True])
     def test_alpha_outside_the_unit_interval_rejected(self, alpha):
         # nan, 0 and -1 used to return one p-value and reject nothing,
-        # and 1.5 to reject every step
+        # 1.5 and True to reject every step, and "0.05" and None to
+        # raise TypeError
         data = self.confounded_data(3)
         with pytest.raises(InvalidConfig, match="alpha"):
             run_hierarchy("y", "x1", ["x2", "x3"], data, alpha=alpha)

@@ -15,7 +15,8 @@ from impactreg import (Dataset, DiscreteJoint, confounding_example_value,
                        quadratic_slope_closed_form)
 from impactreg.oracle import _conditional_mean_y, exact_mod
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
-                              InvalidConfig, OutOfRange, SingularMoments)
+                              EmptySupport, InvalidConfig, OutOfRange,
+                              SingularMoments)
 
 EPS = np.finfo(float).eps
 
@@ -88,6 +89,30 @@ class TestExactImpacts:
         joint = random_joint(7, m=1)
         assert exact_partial_linear_impact(joint, 0) == pytest.approx(
             exact_linear_impact(joint, 0), rel=1e-10)
+
+    @pytest.mark.parametrize("slope, shift", [(3.0, 0.1), (0.7, 0.0)])
+    def test_covariate_determined_by_the_others(self, slope, shift):
+        # X_2 = a X_1 + b: each residual is rounding noise (1.5e-15 against
+        # SD(X_1) = 1.41), which used to return 0.698 and 0.650
+        rng = np.random.default_rng(1)
+        x1 = rng.integers(0, 5, 12) + rng.random(12)
+        y = rng.standard_normal(12)
+        joint = DiscreteJoint(np.column_stack([y, x1, slope * x1 + shift]),
+                              np.full(12, 1 / 12))
+        for k in range(2):
+            with pytest.raises(DegenerateCovariate, match="determined"):
+                exact_partial_linear_impact(joint, k)
+        # a non-linear function of X_2 survives the projection on it
+        assert exact_partial_mean_impact(joint, 0) == pytest.approx(
+            0.7637107609159787, rel=1e-12)
+
+    def test_no_conditioning_covariate_is_zero_impact(self):
+        assert exact_mean_impact(random_joint(3), []) == 0.0
+
+    def test_degenerate_response(self):
+        joint = uniform_joint([(2, -1), (2, 0), (2, 1)])
+        with pytest.raises(DegenerateCovariate, match="response"):
+            exact_mod(joint)
 
 
 def dict_grouping(joint, cols):
@@ -396,6 +421,10 @@ class TestJointValidation:
         support[1, 1] = bad
         with pytest.raises(InvalidConfig, match="finite"):
             DiscreteJoint(support, probs)
+
+    def test_empty_support(self):
+        with pytest.raises(EmptySupport):
+            DiscreteJoint(np.empty((0, 2)), np.empty(0))
 
     def test_duplicate_atoms(self):
         support = np.array([[0., 0.], [0., 0.]])

@@ -530,6 +530,11 @@ class TestKernelDifferential:
             assert np.ndim(got[2]) == 0 and np.ndim(got[3]) == 0
             assert_same_bits(got, (coef, resid, classical[j, j],
                                    sandwich[j, j], rank, piv))
+        # a NumPy integer names the row of the int it holds; its == ()
+        # used to raise instead
+        want = backend.ols_sandwich(X, y, hc1, 1)
+        for j in (np.int64(1), np.intp(1)):
+            assert_same_bits(backend.ols_sandwich(X, y, hc1, j), want)
 
 
 class TestKernelInPlace:

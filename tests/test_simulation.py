@@ -24,6 +24,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"m": 1}, {"k": 0}, {"k": 5, "m": 5}, {"n": 6, "m": 5},
         {"replications": 0}, {"alpha": 0.0}, {"alpha": 1.5},
+        {"alpha": "0.05"}, {"alpha": None}, {"alpha": True},
         {"flavor": "HC9"}, {"reference": "cauchy"},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -398,8 +399,7 @@ class TestRunStudy:
 
         def full_model(*args):
             test = _focus_test(*args)
-            # field 3 of the test is its p-value
-            record.update(f"{test[3].hex()};".encode())
+            record.update(f"{test.p_value.hex()};".encode())
             return test
 
         monkeypatch.setattr(simulate, "order_indices", ordering)

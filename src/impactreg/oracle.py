@@ -8,6 +8,7 @@ special cases for the quadratic and exponential-confounding examples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,6 @@ def _expect(joint: DiscreteJoint, values):
     return float(np.dot(joint.probs, values))
 
 
-def _sd(joint: DiscreteJoint, values):
-    mu = _expect(joint, values)
-    return math.sqrt(max(_expect(joint, (values - mu) ** 2), 0.0))
-
-
 def _conditional_mean_y(joint: DiscreteJoint, cols):
     """E(Y | X_cols) as an atom-aligned vector, and its groups.
 
@@ -120,78 +116,117 @@ def _conditional_mean_y(joint: DiscreteJoint, cols):
     return h[group], w, h, x[first[order]]
 
 
+def _check_k(joint: DiscreteJoint, k):
+    """The covariate index ``k`` as an int in [0, m): ``InvalidConfig``
+    for a non-integer (a bool included), ``OutOfRange`` outside."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        index = operator.index(k)
+    except TypeError:
+        raise InvalidConfig(
+            f"covariate index must be an int, got {k!r}") from None
+    if not 0 <= index < joint.m:
+        raise OutOfRange(f"covariate index {index} outside [0, {joint.m})")
+    return index
+
+
 def exact_mean_impact(joint: DiscreteJoint, conditioning=None):
     """SD of E(Y | X_conditioning); the maximal standardized mean change."""
     if conditioning is None:
-        conditioning = list(range(joint.m))
-    cols = list(conditioning)
+        conditioning = range(joint.m)
+    cols = [_check_k(joint, k) for k in conditioning]
     if not cols:
         return 0.0
     cond_mean, _, _, _ = _conditional_mean_y(joint, cols)
-    return _sd(joint, cond_mean)
+    centred = cond_mean - _expect(joint, cond_mean)
+    return math.sqrt(_expect(joint, centred ** 2))
+
+
+def _spread(w, v, what, error=DegenerateCovariate):
+    """``(v - E v, SD(v))`` under the weights ``w``, by two passes, for a
+    vector or each column of a matrix.
+
+    ``error(what)`` when an SD is below 1e-12 |E v| + 1e-300, the rule of
+    ``impact._check_spread``: a constant's SD is rounding noise of its
+    mean, not 0 (the mean of ten 0.1s does not round to 0.1).
+    """
+    mean = w @ v
+    centred = v - mean
+    sd = np.sqrt(w @ centred ** 2)
+    if np.any(sd < 1e-12 * np.abs(mean) + 1e-300):
+        raise error(what)
+    return centred, sd
 
 
 def exact_linear_impact(joint: DiscreteJoint, covariate=0):
     """|Cov(Y, X_covariate)| / SD(X_covariate) by exact summation."""
-    x = joint.x[:, covariate]
-    sx = _sd(joint, x)
-    if sx <= 0.0:
-        raise DegenerateCovariate(f"covariate {covariate} is degenerate")
-    cov = _expect(joint, joint.y * x) - _expect(joint, joint.y) * _expect(joint, x)
-    return abs(cov) / sx
+    k = _check_k(joint, covariate)
+    w = joint.probs
+    xc, sx = _spread(w, joint.x[:, k], f"covariate {k} is degenerate")
+    yc = joint.y - _expect(joint, joint.y)
+    return float(abs(np.dot(w, yc * xc)) / sx)
 
 
 def exact_mod(joint: DiscreteJoint):
     """Measure of determination: mean_impact^2 / Var(Y)."""
-    sy = _sd(joint, joint.y)
-    if sy <= 0.0:
-        raise DegenerateCovariate("response is degenerate")
-    return (exact_mean_impact(joint) / sy) ** 2
+    _, sy = _spread(joint.probs, joint.y, "response is degenerate")
+    return float((exact_mean_impact(joint) / sy) ** 2)
 
 
-def _projection(joint: DiscreteJoint, cols, target, singular):
-    """``(design, beta)``: the population least-squares coefficients of
-    ``target`` on ``[1, X_cols]``, by the weighted normal equations;
-    ``SingularMoments(singular)`` if their matrix is singular."""
-    design = np.column_stack([np.ones(joint.support.shape[0]),
-                              joint.x[:, cols]])
-    weighted = (design * joint.probs[:, None]).T
-    moments = weighted @ design
-    rank = np.linalg.matrix_rank(moments, tol=1e-12 * abs(moments).max())
-    if rank < moments.shape[0]:
+def _project(w, x, target, singular):
+    """``(beta, resid)``: the least-squares coefficients of ``target`` on
+    ``[1, x]`` under the weights ``w``, intercept first, and the residual
+    times sqrt(w).
+
+    ``x`` and ``target`` are centred in two passes and each column of
+    ``x`` is scaled to SD 1, so one orthogonal solve works on the
+    design's own scale: a shifted covariate costs nothing, and the rank
+    rule reads cond(X), not cond(X)^2.  ``SingularMoments(singular)``
+    for a column that ``_spread`` finds constant, or a rank that
+    ``lstsq`` at rcond 1e-12 finds short.
+    """
+    xc, sd = _spread(w, x, singular, SingularMoments)
+    tc = target - np.dot(w, target)
+    sw = np.sqrt(w)
+    coef, _, rank, _ = np.linalg.lstsq(xc * (sw[:, None] / sd), tc * sw,
+                                       rcond=1e-12)
+    if rank < x.shape[1]:
         raise SingularMoments(singular)
-    return design, np.linalg.solve(moments, weighted @ target)
+    slopes = coef / sd
+    intercept = np.dot(w, target - x @ slopes)
+    return np.concatenate([[intercept], slopes]), (tc - xc @ slopes) * sw
 
 
 def population_theta(joint: DiscreteJoint):
     """Population least-squares coefficients (intercept first)."""
-    return _projection(
-        joint, slice(None), joint.y,
-        "population design second-moment matrix is singular")[1]
-
-
-def _population_residual(joint: DiscreteJoint, k):
-    """Atom values of X_k minus its population projection on the other X."""
-    others = [j for j in range(joint.m) if j != k]
-    xk = joint.x[:, k]
-    design, beta = _projection(joint, others, xk,
-                               "covariate moment matrix is singular")
-    return xk - design @ beta
+    return _project(joint.probs, joint.x, joint.y,
+                    "population design second-moment matrix is singular")[0]
 
 
 def exact_partial_linear_impact(joint: DiscreteJoint, k=0):
-    """Partial linear mean impact of X_k: |E[Y Xtilde_k]| / SD(Xtilde_k).
+    """Partial linear mean impact of X_k: |E[Y Xtilde_k]| / SD(Xtilde_k),
+    where Xtilde_k is X_k minus its population projection on the other X.
 
-    ``DegenerateCovariate`` when SD(Xtilde_k) is at most 1e-12 SD(X_k):
-    X_k is then determined by the other covariates, and its residual is
-    rounding noise of X_k's size, not 0.
+    ``DegenerateCovariate`` when X_k is constant (``_spread``), or when
+    SD(Xtilde_k) is at most 1e-12 SD(X_k): X_k is then determined by the
+    other covariates, and its residual is rounding noise of X_k's size,
+    not 0.
     """
-    resid = _population_residual(joint, k)
-    s = _sd(joint, resid)
-    if s <= 1e-12 * _sd(joint, joint.x[:, k]):
+    k = _check_k(joint, k)
+    w = joint.probs
+    xk = joint.x[:, k]
+    _, sk = _spread(w, xk, f"covariate {k} is degenerate")
+    others = [j for j in range(joint.m) if j != k]
+    _, resid = _project(w, joint.x[:, others], xk,
+                        "covariate moment matrix is singular")
+    # the residual has mean 0, so its norm is its SD
+    s = float(np.linalg.norm(resid))
+    if s <= 1e-12 * sk:
         raise DegenerateCovariate(
             f"covariate {k} is determined by the other covariates")
-    return abs(_expect(joint, joint.y * resid)) / s
+    yc = joint.y - _expect(joint, joint.y)
+    return abs(float(np.dot(yc * np.sqrt(w), resid))) / s
 
 
 def exact_partial_mean_impact(joint: DiscreteJoint, k=0):
@@ -200,14 +235,13 @@ def exact_partial_mean_impact(joint: DiscreteJoint, k=0):
     Equals the weighted norm of E(Y|X) after projecting out the span of
     {1, X_j (j != k)} in L2 of the covariate marginal.
     """
+    k = _check_k(joint, k)
     others = [j for j in range(joint.m) if j != k]
     # collapse to the covariate marginal
     _, w, h, xs = _conditional_mean_y(joint, list(range(joint.m)))
-    design = np.column_stack([np.ones(len(w)), xs[:, others]])
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], h * sw, rcond=None)
-    resid = h - design @ coef
-    return math.sqrt(max(float(np.dot(w, resid ** 2)), 0.0))
+    _, resid = _project(w, xs[:, others], h,
+                        "covariate moment matrix is singular")
+    return float(np.linalg.norm(resid))
 
 
 def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
@@ -261,11 +295,9 @@ def constrained_sup_check(joint: DiscreteJoint, n_cap=10 ** 6):
     delta = (eta * d_plus - capped) / n
     if not np.all(delta >= -1.0 - 1e-12):
         raise InvariantViolation("delta_n must stay >= -1")
-    sd = math.sqrt(max(float(np.dot(w, delta ** 2))
-                       - float(np.dot(w, delta)) ** 2, 0.0))
-    if sd <= 0.0:
-        return 0.0, iota
-    best = float(np.dot(w, h * delta)) / sd
+    # iota > 0 puts delta_n > 0 and < 0 on atoms of positive weight
+    _, sd = _spread(w, delta, "delta_n is constant", InvariantViolation)
+    best = float(np.dot(w, h * delta)) / float(sd)
     if not best <= iota + 1e-12 * max(1.0, iota):
         raise InvariantViolation(
             f"constrained supremum {best!r} exceeds the mean impact {iota!r}")
@@ -299,27 +331,21 @@ def confounding_example_value(rho):
 
 
 def population_params(joint: DiscreteJoint):
-    """All population parameters of a finite joint, by exact summation."""
-    linear = {}
-    partial = {}
-    partial_linear = {}
-    for k in range(joint.m):
-        try:
-            linear[k] = exact_linear_impact(joint, k)
-        except DegenerateCovariate:
-            linear[k] = None
-        if joint.m > 1:
-            try:
-                partial[k] = exact_partial_mean_impact(joint, k)
-                partial_linear[k] = exact_partial_linear_impact(joint, k)
-            except (DegenerateCovariate, SingularMoments):
-                partial[k] = None
-                partial_linear[k] = None
+    """All population parameters of a finite joint, by exact summation.
+
+    ``theta`` comes first: a joint on which a linear or partial impact
+    raises also makes the full design singular, so it raises here.
+    """
+    theta = population_theta(joint)
+    partial_ks = range(joint.m) if joint.m > 1 else ()
     return PopulationParams(
         mean_impact=exact_mean_impact(joint),
-        linear_impact=linear,
-        partial_impact=partial,
-        partial_linear_impact=partial_linear,
+        linear_impact={k: exact_linear_impact(joint, k)
+                       for k in range(joint.m)},
+        partial_impact={k: exact_partial_mean_impact(joint, k)
+                        for k in partial_ks},
+        partial_linear_impact={k: exact_partial_linear_impact(joint, k)
+                               for k in partial_ks},
         mod=exact_mod(joint),
-        theta=population_theta(joint),
+        theta=theta,
     )

@@ -57,18 +57,19 @@ def _check_int(value, name):
     raise InvalidConfig(f"{name} must be an int, got {value!r}")
 
 
-def _check_seed(seed):
-    """The seed as an int in [0, 2^64), or ``InvalidConfig``.
+def _check_key(value, name):
+    """value as an int in [0, 2^64), or ``InvalidConfig`` naming it.
 
-    The seed fills the upper 64 bits of each replication's Philox key, so
-    outside that range two seeds would share a stream (-1 and 2^64 - 1,
-    5 and 2^64 + 5) while their reports recorded different seeds.
+    The seed and the replication index fill the upper and the lower 64
+    bits of a replication's Philox key, so outside that range two values
+    would share a stream (-1 and 2^64 - 1, 5 and 2^64 + 5) while their
+    reports recorded different ones.
     """
-    value = _check_int(seed, "seed")
-    if not 0 <= value < 2 ** 64:
+    key = _check_int(value, name)
+    if not 0 <= key < 2 ** 64:
         raise InvalidConfig(
-            f"seed must be an int in [0, 2**64), got {seed!r}")
-    return value
+            f"{name} must be an int in [0, 2**64), got {value!r}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class SimConfig:
     reference: str = "student_t"
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", _check_key(self.seed, "seed"))
         for name in ("m", "k", "n", "replications"):
             object.__setattr__(self, name,
                                _check_int(getattr(self, name), name))
@@ -181,7 +182,7 @@ def _rng(seed, replication_index):
     empty buffer.  The generator returned is valid until the thread's
     next call.
     """
-    index = int(replication_index) & (2 ** 64 - 1)
+    index = _check_key(replication_index, "replication_index")
     rng = getattr(_STREAMS, "rng", None)
     if rng is None:
         rng = _STREAMS.rng = np.random.Generator(np.random.Philox(0))
@@ -349,7 +350,7 @@ def slope_identity_check(model, params=None, n=10 ** 6, seed=0):
     X_2 and everything normal.  Returns the fitted slope, the closed-form
     target and the robust standard error of the fit.
     """
-    seed = _check_seed(seed)
+    seed = _check_key(seed, "seed")
     params = dict(params or {})
     th1 = float(params.get("theta1", 1.0))
     th2 = float(params.get("theta2", 1.0))

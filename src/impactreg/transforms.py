@@ -205,7 +205,11 @@ class TransformSpec:
             with open(source, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         if isinstance(raw, dict):
-            raw = raw.get("steps", [])
+            if raw.keys() != {"steps"}:
+                raise InvalidConfig(
+                    'a transform spec object must hold the one key "steps", '
+                    f'got {sorted(raw)}')
+            raw = raw["steps"]
         if not isinstance(raw, list):
             raise InvalidConfig("transform spec must be a list of steps")
         return cls(steps=tuple(raw))

@@ -11,11 +11,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from impactreg import (cli, coefficient_test, errors, fit_ols,
-                       order_covariates, simulate, write_csv)
+from impactreg import (DiscreteJoint, cli, coefficient_test, errors,
+                       fit_ols, order_covariates, population_theta, simulate,
+                       write_csv)
 from impactreg.cli import figure_coefficients, main
 from impactreg.regression import two_sided_pvalue
 from impactreg.simulate import SimConfig, generate_arrays, generate_dataset
+
+from conftest import shifted_support
 
 
 def load_schema():
@@ -174,6 +177,16 @@ class TestAnalyze:
                     "--focus", "x1", "--transforms", "[1]"])
         assert code == 2
         assert "step 1 must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ['{"op": "log", "column": "x2"}',
+                                      '{"setps": []}'])
+    def test_spec_object_without_the_steps_key_exit_2(self, data_csv, capsys,
+                                                      spec):
+        # it used to run with no transforms and exit 0
+        code = run(["analyze", "--data", str(data_csv), "--response", "y",
+                    "--focus", "x1", "--transforms", spec])
+        assert code == 2
+        assert 'the one key "steps"' in capsys.readouterr().err
 
     def test_string_columns_entry_exit_2(self, data_csv, capsys):
         spec = json.dumps([{"op": "augment_quadratic", "columns": "x1"}])
@@ -572,6 +585,22 @@ class TestOracleCheck:
         path.write_text(json.dumps(joint))
         assert run(["oracle-check", "--joint", str(path)]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_shifted_joint(self, tmp_path):
+        # x1 = 1e4 + N(0, 1): the normal equations found it singular (3)
+        joint = {"support": shifted_support().tolist(), "probs": [1 / 8] * 8}
+        path = tmp_path / "j.json"
+        path.write_text(json.dumps(joint))
+        out = tmp_path / "o.json"
+        assert run(["oracle-check", "--joint", str(path), "--out",
+                    str(out)]) == 0
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, load_schema())
+        # the slopes do not see the shift (x1 - 1e4 is exact)
+        support = shifted_support()
+        support[:, 1] -= 1e4
+        want = population_theta(DiscreteJoint(support, np.full(8, 1 / 8)))
+        assert report["theta"][1:] == pytest.approx(want[1:], rel=1e-9)
 
     def test_degenerate_joint_exit_3(self, tmp_path, capsys):
         joint = {"support": [[1, 0], [2, 0]], "probs": [0.5, 0.5]}

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from impactreg.oracle import _conditional_mean_y, exact_mod
 from impactreg.errors import (DegenerateCovariate, DimensionMismatch,
                               EmptySupport, InvalidConfig, OutOfRange,
                               SingularMoments)
+
+from conftest import shifted_support
 
 EPS = np.finfo(float).eps
 
@@ -105,6 +108,75 @@ class TestExactImpacts:
         # a non-linear function of X_2 survives the projection on it
         assert exact_partial_mean_impact(joint, 0) == pytest.approx(
             0.7637107609159787, rel=1e-12)
+
+    @pytest.mark.parametrize("value, n", [(0.1, 10), (0.3, 7), (7.7, 7)])
+    def test_constant_column_is_degenerate(self, value, n):
+        # the mean of ten 0.1s does not round to 0.1, so a constant's SD
+        # is rounding noise; tested against 0, it gave 4.0, 2.0 and 4.0
+        varied, constant = np.arange(n), np.full(n, value)
+        joint = DiscreteJoint(np.column_stack([varied, constant]),
+                              np.full(n, 1 / n))
+        with pytest.raises(DegenerateCovariate, match="covariate 0"):
+            exact_linear_impact(joint, 0)
+        with pytest.raises(SingularMoments):
+            population_params(joint)
+        # beside a second covariate, its partial linear impact was 0.17
+        noise = np.random.default_rng(1).standard_normal(n)
+        joint = DiscreteJoint(np.column_stack([varied, constant, noise]),
+                              np.full(n, 1 / n))
+        with pytest.raises(DegenerateCovariate, match="covariate 0"):
+            exact_partial_linear_impact(joint, 0)
+        joint = DiscreteJoint(np.column_stack([constant, varied]),
+                              np.full(n, 1 / n))
+        with pytest.raises(DegenerateCovariate, match="response"):
+            exact_mod(joint)
+
+    def test_covariance_of_a_shifted_response(self):
+        # Y at 1e8 and X at 5: a one-pass E[YX] - E[Y]E[X] lost 4e-7
+        rng = np.random.default_rng(18)
+        x = 5.0 + rng.standard_normal(200)
+        y = 1e8 + x + rng.standard_normal(200)
+        joint = DiscreteJoint(np.column_stack([y, x]), np.full(200, 1 / 200))
+        assert exact_linear_impact(joint, 0) == pytest.approx(
+            exact_reference(joint)[1][0], rel=1e-14)
+
+    @pytest.mark.parametrize("function", [
+        exact_linear_impact, exact_partial_linear_impact,
+        exact_partial_mean_impact])
+    def test_covariate_index_is_checked(self, function):
+        joint = random_joint(5, m=3)
+        for k in (-1, 3, 5, -4):
+            with pytest.raises(OutOfRange, match="covariate index"):
+                function(joint, k)
+        for k in (1.0, True, "1", None, np.float64(1.0)):
+            with pytest.raises(InvalidConfig, match="covariate index"):
+                function(joint, k)
+        # any integer type names a covariate
+        assert function(joint, np.int64(2)) == function(joint, 2)
+
+    def test_conditioning_indices_are_checked(self):
+        joint = random_joint(5, m=3)
+        for cols in ([-1], [0, 3]):
+            with pytest.raises(OutOfRange, match="covariate index"):
+                exact_mean_impact(joint, cols)
+        with pytest.raises(InvalidConfig, match="covariate index"):
+            exact_mean_impact(joint, [1.0])
+        assert exact_mean_impact(joint, (np.int64(2), 0)) == \
+            exact_mean_impact(joint, [2, 0])
+
+    def test_collinear_others_are_singular(self):
+        # X_3 = 2 X_2: X_1's partial mean impact, like its partial linear
+        # one, has no projection to take (it used to return a min-norm
+        # number)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((12, 2))
+        y = x[:, 0] ** 2 + rng.standard_normal(12)
+        joint = DiscreteJoint(np.column_stack([y, x, 2 * x[:, 1]]),
+                              np.full(12, 1 / 12))
+        for function in (exact_partial_mean_impact,
+                         exact_partial_linear_impact):
+            with pytest.raises(SingularMoments):
+                function(joint, 0)
 
     def test_no_conditioning_covariate_is_zero_impact(self):
         assert exact_mean_impact(random_joint(3), []) == 0.0
@@ -468,6 +540,138 @@ class TestPopulationParams:
                 exact_linear_impact(joint, k), rel=1e-12)
 
 
+def _solve(a, b):
+    """x with a x = b, by Gauss-Jordan elimination in exact arithmetic."""
+    rows = [row + [rhs] for row, rhs in zip(a, b)]
+    n = len(rows)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [u - f * v for u, v in zip(rows[r], rows[c])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
+
+
+def _exact_fit(w, cols, target):
+    """``(beta, resid)`` of ``target`` on ``[1, cols]`` under the weights
+    ``w``, by the weighted normal equations solved exactly."""
+    design = [[Fraction(1)] * len(w)] + cols
+    moments = [[sum(p * u * v for p, u, v in zip(w, a, b)) for b in design]
+               for a in design]
+    beta = _solve(moments, [sum(p * u * t for p, u, t in zip(w, a, target))
+                            for a in design])
+    resid = [t - sum(b * col[i] for b, col in zip(beta, design))
+             for i, t in enumerate(target)]
+    return beta, resid
+
+
+def exact_reference(joint):
+    """θ, and per covariate the linear, partial linear and partial mean
+    impacts, in exact rational arithmetic on the joint's float atoms
+    (one rounding each, at the square root).  The partial mean impact
+    takes E(Y|X) = Y, so every atom's X must be distinct."""
+    assert len(_conditional_mean_y(joint, list(range(joint.m)))[1]) == \
+        len(joint.probs)
+    w = [Fraction(p) for p in joint.probs]
+    w = [p / sum(w) for p in w]
+    y = [Fraction(v) for v in joint.y]
+    cols = [[Fraction(v) for v in joint.x[:, k]] for k in range(joint.m)]
+    theta = np.array([float(b) for b in _exact_fit(w, cols, y)[0]])
+    ey = sum(p * v for p, v in zip(w, y))
+    linear, partial_linear, partial_mean = [], [], []
+    for k, xk in enumerate(cols):
+        ex = sum(p * v for p, v in zip(w, xk))
+        cov = sum(p * (u - ey) * (v - ex) for p, u, v in zip(w, y, xk))
+        var = sum(p * (v - ex) ** 2 for p, v in zip(w, xk))
+        linear.append(math.sqrt(cov * cov / var))
+        others = cols[:k] + cols[k + 1:]
+        _, r = _exact_fit(w, others, xk)
+        eyr = sum(p * u * v for p, u, v in zip(w, y, r))
+        partial_linear.append(
+            math.sqrt(eyr * eyr / sum(p * v * v for p, v in zip(w, r))))
+        _, ry = _exact_fit(w, others, y)
+        partial_mean.append(math.sqrt(sum(p * v * v for p, v in zip(w, ry))))
+    return theta, linear, partial_linear, partial_mean
+
+
+def design_cond(joint):
+    """cond of the sqrt(p)-weighted design [1, X], columns scaled to norm
+    1: the condition number that the float atoms' rounding meets."""
+    design = np.column_stack([np.ones(len(joint.probs)), joint.x])
+    design *= np.sqrt(joint.probs)[:, None]
+    return np.linalg.cond(design / np.linalg.norm(design, axis=0))
+
+
+def rational_joints():
+    """About 20 seeded joints of at most 100 atoms and 3 covariates:
+    shifted, near-collinear and ordinary."""
+    yield "shifted 1e4, 8 atoms", DiscreteJoint(shifted_support(),
+                                                np.full(8, 1 / 8))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 101))
+        z = rng.standard_normal((n, 3))
+        x1 = 1000 + z[:, 0]
+        support = np.round(np.column_stack([x1 + z[:, 1] + z[:, 2], x1,
+                                            z[:, 1]]), 3)
+        yield (f"shifted 1e3, seed {seed}",
+               DiscreteJoint(support, rng.dirichlet(np.ones(n))))
+    for eps in (1e-3, 1e-5, 1e-7):
+        for seed in range(2):
+            rng = np.random.default_rng(100 + seed)
+            z = rng.standard_normal((100, 3))
+            x1 = 1000 + z[:, 0]
+            support = np.column_stack([x1 + z[:, 2], x1, x1 + eps * z[:, 1]])
+            yield (f"x2 = x1 + {eps:g} N, seed {seed}",
+                   DiscreteJoint(support, np.full(100, 1 / 100)))
+    for seed in range(9):
+        rng = np.random.default_rng(200 + seed)
+        n, m = int(rng.integers(5, 101)), int(rng.integers(1, 4))
+        support = rng.standard_normal((n, m + 1)) @ rng.uniform(
+            -1.0, 1.0, (m + 1, m + 1))
+        support = np.round(support * 2.0 ** rng.integers(-8, 9, m + 1)
+                           + rng.uniform(-5.0, 5.0, m + 1), 3)
+        yield f"random, seed {seed}", DiscreteJoint(
+            support, rng.dirichlet(np.ones(n)))
+
+
+RATIONAL_JOINTS = list(rational_joints())
+
+
+class TestExactRationals:
+    """The oracle within C cond(X) eps of the exact rational values, C =
+    16, on shifted and near-collinear joints: the uncentred normal
+    equations, which lose cond^2, miss that bound or find these designs
+    singular."""
+
+    C = 16
+
+    @pytest.mark.parametrize("name, joint", RATIONAL_JOINTS,
+                             ids=[name for name, _ in RATIONAL_JOINTS])
+    def test_within_cond_eps_of_the_exact_values(self, name, joint):
+        theta, linear, partial_linear, partial_mean = exact_reference(joint)
+        bound = self.C * design_cond(joint) * EPS
+        assert np.linalg.norm(population_theta(joint) - theta) <= \
+            bound * np.linalg.norm(theta)
+        # every impact is at most SD(Y)
+        mu = float(np.dot(joint.probs, joint.y))
+        scale = math.sqrt(float(np.dot(joint.probs, (joint.y - mu) ** 2)))
+        for k in range(joint.m):
+            assert abs(exact_linear_impact(joint, k) - linear[k]) <= \
+                bound * scale
+            if joint.m > 1:
+                assert abs(exact_partial_linear_impact(joint, k)
+                           - partial_linear[k]) <= bound * partial_linear[k]
+                assert abs(exact_partial_mean_impact(joint, k)
+                           - partial_mean[k]) <= bound * partial_mean[k]
+        params = population_params(joint)
+        assert params.partial_linear_impact == (
+            {k: exact_partial_linear_impact(joint, k) for k in range(joint.m)}
+            if joint.m > 1 else {})
+
+
 @st.composite
 def samples(draw, tied=False):
     """(y, X): n rows of m covariates and a continuous y.  Tied
@@ -499,16 +703,18 @@ def sample_dataset(y, X):
 
 
 def design_tolerance(X):
-    """Normal equations lose about cond(X)^2 eps; QR about cond(X) eps."""
+    """Both routes solve by orthogonal factorizations, which lose about
+    cond(X) eps."""
     design = np.column_stack([np.ones(len(X)), X])
     cond = np.linalg.cond(design)
-    assume(cond < 1e4)
-    return 4 * EPS * cond ** 2
+    assume(cond < 1e8)
+    return 64 * EPS * cond
 
 
 class TestSampleAsPopulation:
     """The oracle on ``DiscreteJoint(rows, 1/n)`` reproduces the sample
-    estimators, by weighted normal equations instead of the QR kernel."""
+    estimators, by centred, scaled columns and one ``lstsq`` instead of
+    the pivoted-QR kernel."""
 
     @given(samples())
     @settings(max_examples=100, deadline=None)

@@ -214,6 +214,19 @@ class TestStreams:
     SEEDS = (0, 1, 2 ** 64 - 1)
     INDICES = (0, 1, 2 ** 63, 2 ** 64 - 1)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None, -1,
+                                       2 ** 64, np.int64(-1),
+                                       np.float64(1.0), np.bool_(True)])
+    def test_replay_index_is_a_64_bit_int(self, index):
+        # 1.5 and True replayed replication 1, and -1 stream 2**64 - 1
+        config = SimConfig(m=5, n=50, replications=3, seed=1)
+        with pytest.raises(InvalidConfig, match="replication_index"):
+            generate_arrays(config, index)
+        want = generate_arrays(config, 1)
+        for index in (np.int64(1), np.uint8(1)):
+            got = generate_arrays(config, index)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
     @staticmethod
     def draws(rng):
         return (rng.standard_normal((7, 3)), rng.random(5),

@@ -252,6 +252,18 @@ class TestTransformSpec:
             TransformSpec.from_json('{"steps": 3}')
 
     @pytest.mark.parametrize("spec", [
+        '{"op": "log", "column": "c9"}',
+        '{"setps": []}',
+        '{}',
+        '{"steps": [], "note": "x"}',
+    ])
+    def test_rejects_an_object_without_exactly_the_steps_key(self, spec):
+        # one step given as an object, or a misspelled key, was read as
+        # no steps at all
+        with pytest.raises(InvalidConfig, match='the one key "steps"'):
+            TransformSpec.from_json(spec)
+
+    @pytest.mark.parametrize("spec", [
         "[1]",
         '[["log", "y"]]',
         '[{"column": "y"}]',

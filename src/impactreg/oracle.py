@@ -135,6 +135,11 @@ def exact_mean_impact(joint: DiscreteJoint, conditioning=None):
     """SD of E(Y | X_conditioning); the maximal standardized mean change."""
     if conditioning is None:
         conditioning = range(joint.m)
+    try:
+        conditioning = iter(conditioning)
+    except TypeError:
+        raise InvalidConfig("conditioning must be an iterable of covariate "
+                            f"indices, got {conditioning!r}") from None
     cols = [_check_k(joint, k) for k in conditioning]
     if not cols:
         return 0.0

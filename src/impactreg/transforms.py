@@ -1,10 +1,25 @@
 """CSV ingestion and the preprocessing transforms used before analysis.
 
-``read_csv`` parses the body of a seekable source with ``np.loadtxt`` and
-keeps the result only when it has the header's width, at least one row
-and finite values; otherwise it rewinds and reruns the strict per-cell
-scanner, which is the reference for every value and the only source of
-parse errors.  Non-seekable streams go to the strict scanner directly.
+``read_csv`` reads the body of a seekable source twice.  The first pass
+counts its rows, and a column-major table of that many rows is made for
+the ``Dataset`` to take as it is.  The second reads blocks of whole
+lines, each at most 128 KiB and never longer than the csv module's
+field limit.  A block that holds only the bytes of plain numbers
+(digits, ``e E + - .``, commas, spaces, tabs and CRLF line ends) is
+parsed as one JSON array of rows by ``orjson``, whose number reader is
+correctly rounded, as ``float`` is, and is written into its rows of the
+table.  An integer ``-0``, which orjson reads as +0, is read again as
+``-0.0``; a block JSON rejects is read again with its plus signs
+dropped and its bare points given their 0 (``+1``, ``.5``), and if JSON
+still rejects it (``1.``, ``01``, an overflow), ``float`` reads its
+cells.  Anything the strict per-cell scanner might read otherwise sends
+the source back to its start and through that scanner, which is the
+reference for every value and the only source of parse errors: any
+other byte (quotes, letters, brackets), a lone CR, a row of another
+width, a blank line inside the body, an empty or malformed cell, a
+non-finite value or no rows.  Trailing blank lines and a last line
+without a line end stay on the fast path.  Non-seekable streams go to
+the strict scanner directly.
 
 Transforms are applied in order, and the input dataset is never
 modified.  The steps share one working copy of the values, column-major
@@ -15,9 +30,8 @@ their column into it in place, and augmentation steps append columns to
 it, which makes a new column-major copy.  Each step checks the columns
 it writes, so an error is raised by the step that causes it, and the
 result is built into a ``Dataset`` once, at the end, with no copy.
-``read_csv`` converts the row-major table ``np.loadtxt`` returns to
-column-major once, when it builds the ``Dataset``.  Missing values are
-a hard error (the estimators assume complete i.i.d. rows).
+Missing values are a hard error (the estimators assume complete i.i.d.
+rows).
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +48,23 @@ from .dataset import Dataset
 from .errors import (DimensionMismatch, EmptyAfterExclusion, InvalidConfig,
                      MissingValue, NonFinite, NonPositiveLogInput,
                      ParseError, SchemaMismatch, UnknownColumn)
+
+_BLOCK = 1 << 17  # characters per block of the fast reader
+_COUNT_BLOCK = 1 << 16  # characters per read of its row count
+# every byte a block of plain numbers may hold; any other falls back
+_NUMBER_BYTES = b"0123456789eE+-., \t\r\n"
+# an integer -0 cell, which orjson reads as the int 0 (so +0.0) and
+# float() as -0.0; an exponent's "e-0" matches too, but "e-0.0" is no
+# JSON, so float() reads that block
+_NEGATIVE_ZERO = re.compile(rb"-0(?=[],\s])")
+# mends of cells float() reads and JSON does not: a "+" sign is dropped,
+# and a point with no digit before it (".5", "-.5", as Stata writes
+# them) gets its 0.  No mend makes a JSON number of a cell float()
+# rejects: a JSON fraction needs a digit after the point, and no "+" is
+# dropped from a block where a sign or a space follows one
+_PLUS_MENDS = ((b"[+", b"["), (b",+", b","))
+_UNMENDABLE = (b"+-", b"+ ", b"+\t")
+_POINT_MENDS = ((b"[.", b"[0."), (b",.", b",0."), (b"-.", b"-0."))
 
 _COMPARATORS = {
     "<": lambda a, b: a < b,
@@ -50,11 +81,13 @@ def read_csv(source, schema=None) -> Dataset:
 
     ``source`` is a path or a text stream.  ``schema`` optionally pins
     the expected column names.  The body of a path or a seekable stream
-    is read by ``np.loadtxt``; if that fails, or gives a table the strict
-    scanner might not (wrong width, no rows, a non-finite value), the
-    source is rewound and scanned cell by cell, which accepts what
+    is read in blocks of plain numbers by ``orjson`` (or, cell by cell,
+    by ``float``) into one column-major table; if a block holds anything
+    else, or the table might differ from the strict scanner's (see the
+    module docstring),
+    the source is rewound and scanned cell by cell, which accepts what
     Python's ``float`` accepts and raises ``ParseError``/``MissingValue``
-    with the line and column.  Either way the values are the same.
+    with the line and column.  Either way the values are the same bits.
     """
     if hasattr(source, "read"):
         return _read_csv_fast(source, schema)
@@ -93,28 +126,118 @@ def _read_csv_fast(stream, schema):
         return _read_csv_stream(stream, schema)
     header = _read_header(_records(csv.reader(stream)), schema)
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(_within_field_limit(stream), delimiter=",",
-                                comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        pass
-    else:
-        if (values.shape[0] and values.shape[1] == len(header)
-                and np.isfinite(values).all()):
-            return Dataset(tuple(header), values)
+        values = _read_blocks(stream, start, len(header))
+    except (TypeError, ValueError):
+        values = None
+    if values is not None:
+        return Dataset._adopt(tuple(header), values)
     stream.seek(start)
     return _read_csv_stream(stream, schema)
 
 
-def _within_field_limit(lines):
-    # csv.reader raises on a field longer than its limit and loadtxt does
-    # not, so a line that long is left to the strict scanner
-    limit = csv.field_size_limit()
-    for line in lines:
-        if len(line) > limit:
-            raise ValueError("line longer than the csv field size limit")
-        yield line
+def _count_rows(stream):
+    """The lines left in ``stream``, less the blank lines that end it."""
+    ends = tail = 0
+    content = False
+    while chunk := stream.read(_COUNT_BLOCK):
+        ends += chunk.count("\n")
+        body = chunk.rstrip("\r\n")
+        if body:
+            content = True
+            tail = chunk.count("\n", len(body))
+        else:
+            tail += chunk.count("\n")
+    return ends - tail + content
+
+
+def _read_blocks(stream, start, width):
+    """The body after the header as a column-major table, or ``None``
+    where the strict scanner might not give the same bits (see the
+    module docstring); a block orjson or NumPy rejects raises
+    ``ValueError`` or ``TypeError``.  ``stream`` is positioned after the
+    header, which begins at ``start``."""
+    import orjson  # here, not at the top: only a CSV read pays for it
+    rows = _count_rows(stream)
+    if not rows:
+        return None
+    stream.seek(start)
+    next(csv.reader(stream))
+    table = np.empty((rows, width), order="F")
+    # a block holds whole lines of at most this many characters, so no
+    # line the fast path reads is over the csv module's field limit
+    size = min(_BLOCK, csv.field_size_limit())
+    at, carry, done = 0, "", False
+    while not done:
+        text = carry + stream.read(size - len(carry))
+        done = len(text) < size
+        if not done:
+            cut = text.rfind("\n") + 1
+            if not cut:
+                return None
+            text, carry = text[:cut], text[cut:]
+        if not text.isascii():
+            return None
+        data = text.encode()
+        if data.translate(None, _NUMBER_BYTES) or (
+                b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+            return None
+        data = data.rstrip(b"\r\n")
+        if not data:
+            continue
+        block = _parse_block(data, orjson)
+        if block is None or block.shape[1] != width:
+            return None
+        # past the counted rows, the slice is short and this raises
+        table[at:at + len(block)] = block
+        at += len(block)
+    return table if at == rows else None
+
+
+def _parse_block(data, orjson):
+    """The lines of a block of plain-number bytes as a table of rows, or
+    ``None`` when one of its cells is not finite; ``ValueError`` when a
+    cell is not a number or the rows differ in length.
+
+    orjson reads the block as one JSON array, mended (see ``_mend``) if
+    it is no JSON as written; ``float`` reads the cells of a block that
+    is no JSON even then (``1.``, ``01``, ``+-1``, an overflow).
+    """
+    # each line one JSON array: "1,2\r\n3,4" is [[1,2\r],[3,4]]
+    array = b"[[%s]]" % data.replace(b"\n", b"],[")
+    rows = _json_rows(array, orjson)
+    if rows is None:
+        array = _mend(array)
+        rows = None if array is None else _json_rows(array, orjson)
+    if rows is not None and not rows.all() and _NEGATIVE_ZERO.search(array):
+        rows = _json_rows(_NEGATIVE_ZERO.sub(b"-0.0", array), orjson)
+    if rows is None:
+        rows = np.array([list(map(float, line.split(b",")))
+                         for line in data.split(b"\n")])
+        return rows if np.isfinite(rows).all() else None
+    return rows
+
+
+def _mend(array):
+    """``array`` with its cells' plus signs dropped and bare points given
+    their 0, or ``None`` if a plus sign is followed by a sign or a space.
+    """
+    if b"+" in array:  # one byte: a fast scan, where each pair is slow
+        if any(s in array for s in _UNMENDABLE):
+            return None
+        for cell, mended in _PLUS_MENDS:
+            array = array.replace(cell, mended)
+    for cell, mended in _POINT_MENDS:
+        array = array.replace(cell, mended)
+    return array
+
+
+def _json_rows(array, orjson):
+    """``array`` read by orjson as a table of floats, or ``None`` if it
+    is no JSON."""
+    try:
+        return np.array(orjson.loads(array), dtype=float)
+    except orjson.JSONDecodeError:
+        return None
 
 
 def _read_csv_stream(stream, schema):

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +159,61 @@ class TestPartialImpact:
         monkeypatch.setattr(
             impact, "residualize",
             lambda *args: 2.0 * residualize(*args) + 0.1 * data.column("x3"))
+        with pytest.raises(InvariantViolation):
+            partial_linear_mean_impact("y", "x1", ["x2"], data)
+
+    def test_one_in_a_million_disagreement_raises(self, monkeypatch):
+        # the check's tolerance grows only with the variance inflation,
+        # which is about 1 here
+        data = self.random_data(11)
+        coefficient = impact._coefficient
+
+        def off(*args):
+            coef, test = coefficient(*args)
+            return coef * (1 + 1e-6), test
+
+        monkeypatch.setattr(impact, "_coefficient", off)
+        with pytest.raises(InvariantViolation):
+            partial_linear_mean_impact("y", "x1", ["x2", "x3"], data)
+
+    @staticmethod
+    def nearly_collinear():
+        # x2 = x1 + 1e-8 N(0, 1): the focus's variance inflation is 1e8,
+        # but the data determine the impact to about 1e-8
+        rng = np.random.default_rng(3)
+        x1 = rng.standard_normal(400)
+        y = x1 + rng.standard_normal(400)
+        x2 = x1 + 1e-8 * rng.standard_normal(400)
+        return y, x1, x2
+
+    def test_nearly_collinear_adjustment_keeps_the_identity(self):
+        y, x1, x2 = self.nearly_collinear()
+        data = Dataset(("y", "x1", "x2"), np.column_stack([y, x1, x2]))
+        got = partial_linear_mean_impact("y", "x1", ["x2"], data).value
+        # the exact impact, in rationals: |cov(y, r)| / SD(r), with r the
+        # residual of x1 on (1, x2)
+        y, x1, x2 = ([Fraction(v) for v in c] for c in (y, x1, x2))
+        yc, xc, zc = ([v - sum(c) / len(c) for v in c] for c in (y, x1, x2))
+        b = sum(u * v for u, v in zip(xc, zc)) / sum(v * v for v in zc)
+        r = [u - b * v for u, v in zip(xc, zc)]
+        cov = sum(u * v for u, v in zip(yc, r)) / len(r)
+        want = abs(float(cov)) / math.sqrt(
+            float(sum(v * v for v in r) / len(r)))
+        assert got == pytest.approx(want, rel=1e-6)
+
+    def test_one_in_a_thousand_disagreement_raises_when_nearly_collinear(
+            self, monkeypatch):
+        # the tolerance grows with the variance inflation only as rounding
+        # does (about 2e-5 at 1e8), so the check keeps its teeth here
+        data = Dataset(("y", "x1", "x2"),
+                       np.column_stack(self.nearly_collinear()))
+        coefficient = impact._coefficient
+
+        def off(*args):
+            coef, test = coefficient(*args)
+            return coef * (1 + 1e-3), test
+
+        monkeypatch.setattr(impact, "_coefficient", off)
         with pytest.raises(InvariantViolation):
             partial_linear_mean_impact("y", "x1", ["x2"], data)
 

@@ -164,6 +164,12 @@ class TestExactImpacts:
         assert exact_mean_impact(joint, (np.int64(2), 0)) == \
             exact_mean_impact(joint, [2, 0])
 
+    @pytest.mark.parametrize("conditioning", [0, np.int64(1), 1.0])
+    def test_conditioning_that_is_not_iterable_is_invalid(self, conditioning):
+        with pytest.raises(InvalidConfig,
+                           match="iterable of covariate indices"):
+            exact_mean_impact(random_joint(5, m=3), conditioning)
+
     def test_collinear_others_are_singular(self):
         # X_3 = 2 X_2: X_1's partial mean impact, like its partial linear
         # one, has no projection to take (it used to return a min-norm

@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import io
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from impactreg import TransformSpec, apply_transforms, read_csv, write_csv
+from impactreg import (TransformSpec, apply_transforms, read_csv, transforms,
+                       write_csv)
 from impactreg.transforms import _read_csv_stream
 from impactreg.dataset import Dataset
 from impactreg.errors import (DimensionMismatch, EmptyAfterExclusion,
@@ -134,22 +138,184 @@ FALLBACK_CASES = {
     "header only, one column": "a\n\n",
     "empty file": "",
     "field over the csv limit": "a\n" + " " * 140_000 + "1\n2\n",
+    "integer -0": "a,b\n1,-0\n3,4\n",
+    "integer -0, padded": "a,b\n -0 ,2\n3,4\n",
+    "brackets across a line, one column": "a\n1],[2\n3\n",
+    "true": "a,b\ntrue,2\n3,4\n",
+    "null": "a,b\n1,null\n3,4\n",
+    "braces, one column": "a\n{}\n2\n",
+    "brackets, one column": "a\n[1]\n2\n",
+    "leading zero": "a,b\n01,2\n3,4\n",
+    "integer above 2**64": "a,b\n36893488147419107329,2\n3,4\n",
+    "lone cr before a comma": "a,b\n1,\r2\n3,4\n",
+    "blank line inside the body": "a,b\n1,2\n\n3,4\n",
+    "blank line at the end of a block": "a,b\n1,2\n\n3,4\n",
+    "every row narrower than the header": "a,b\n1\n2\n",
+    "line over a lowered field limit": "a,b\n1.25,2.5\n3,4\n",
+    "field over a lowered field limit": "a,b\n1.2345678,2\n3,4\n",
+    "a point alone": "a,b\n.,2\n3,4\n",
+    "a signed point alone": "a,b\n-.,2\n3,4\n",
+    "a bare point before an exponent": "a,b\n.e5,2\n3,4\n",
+    "a bare point in an exponent": "a,b\n1e-.5,2\n3,4\n",
+    "a sign apart from its bare point": "a,b\n- .5,2\n3,4\n",
+    "a sign and a point alone": "a,b\n+.,2\n3,4\n",
+    "exponent -0 beside a zero": "a,b\n1e-0,0\n3,-0\n",
+    "a sign alone": "a,b\n+,2\n3,4\n",
+    "two signs": "a,b\n+-1,2\n3,4\n",
+    "two plus signs": "a,b\n++1,2\n3,4\n",
+    "a sign before a space": "a,b\n+ 1,2\n3,4\n",
+    "a sign before a tab": "a,b\n+\t1,2\n3,4\n",
+    "a sign before an exponent": "a,b\n+e5,2\n3,4\n",
 }
+# the csv module's field limit for a case, where it is not the default
+FIELD_LIMITS = {"line over a lowered field limit": 8,
+                "field over a lowered field limit": 8,
+                "blank line at the end of a block": 8}
+
+
+@contextlib.contextmanager
+def field_limit(limit):
+    """Set ``csv.field_size_limit`` to ``limit`` (if not None) inside."""
+    old = csv.field_size_limit(limit) if limit is not None else None
+    try:
+        yield
+    finally:
+        if limit is not None:
+            csv.field_size_limit(old)
+
+
+def bare(cell):
+    """``cell`` without the 0 before its point: "-0.5" is "-.5"."""
+    return re.sub(r"^([+-]?)0\.", r"\1.", cell)
+
+
+@pytest.fixture
+def strict_reads(monkeypatch):
+    """A list that gets one entry per run of the strict scanner."""
+    reads = []
+
+    def spy(stream, schema):
+        reads.append(stream)
+        return _read_csv_stream(stream, schema)
+
+    monkeypatch.setattr(transforms, "_read_csv_stream", spy)
+    return reads
+
+
+def no_block_reader(*args, **kwargs):
+    raise AssertionError("the block reader read a stream it cannot rewind")
 
 
 class TestFastPathFallback:
-    @pytest.mark.parametrize("text", FALLBACK_CASES.values(),
-                             ids=FALLBACK_CASES.keys())
-    def test_stream_matches_strict_scanner(self, text):
-        assert outcome(lambda: read_csv(io.StringIO(text))) == \
-            strict_outcome(text)
+    @pytest.mark.parametrize("name", FALLBACK_CASES)
+    def test_stream_matches_strict_scanner(self, name):
+        text = FALLBACK_CASES[name]
+        with field_limit(FIELD_LIMITS.get(name)):
+            assert outcome(lambda: read_csv(io.StringIO(text))) == \
+                strict_outcome(text)
 
-    @pytest.mark.parametrize("text", FALLBACK_CASES.values(),
-                             ids=FALLBACK_CASES.keys())
-    def test_path_matches_strict_scanner(self, text, tmp_path):
+    @pytest.mark.parametrize("name", FALLBACK_CASES)
+    def test_path_matches_strict_scanner(self, name, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert outcome(lambda: read_csv(path)) == strict_path_outcome(path)
+        path.write_bytes(FALLBACK_CASES[name].encode("utf-8"))
+        with field_limit(FIELD_LIMITS.get(name)):
+            assert outcome(lambda: read_csv(path)) == \
+                strict_path_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\r\n1,2\r\n3,4\r\n",
+        "a,b\n1,2\n3,4\n\n\r\n",
+        "a,b\n1,2\n3,4",
+        "a,b\n 1 ,\t2e-3\n-0.0,-4E+2\n",
+        "a,b\n1,-0\n -0 ,0\n",
+        "a,b\n.5,-.25e1\n+1,1.\n01,-00\n",
+        "a,b\n.5,-.25e1\n-.0,3\n",
+        "a,b\n+1,+.5\n+0,-2e+3\n",
+        "a,b\n" + "1.5,2\n" * 30_000 + "+.5,3\n" + "4,-0\n" * 30_000,
+    ], ids=["crlf", "trailing blank lines", "no final line end",
+            "padded cells, exponents and a float -0", "integer -0",
+            "cells JSON does not take", "bare points", "plus signs",
+            "one block of each kind"])
+    def test_plain_numbers_stay_on_the_fast_path(self, text, strict_reads):
+        got = outcome(lambda: read_csv(io.StringIO(text)))
+        assert not strict_reads
+        assert got == strict_outcome(text)
+
+    def test_cells_are_read_as_float_reads_them(self, strict_reads):
+        # random float64 bit patterns in four formats, and decimals at and
+        # one digit either side of the midpoint of two neighbouring floats
+        rng = np.random.default_rng(27)
+        bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        cells = [[repr(v), "%.17g" % v, "%.15g" % v, "%.6e" % v]
+                 for v in values.tolist()]
+        for v in values[:2_000].tolist():
+            mid = (Decimal(v) + Decimal(np.nextafter(v, np.inf))) / 2
+            nudge = Decimal((0, (1,), mid.as_tuple().exponent))
+            cells.append([f"{mid:e}", f"{mid - nudge:e}", f"{mid + nudge:e}",
+                          f"{mid:e}"])
+        text = "a,b,c,d\n" + "".join(",".join(row) + "\n" for row in cells)
+        got = read_csv(io.StringIO(text)).values
+        want = np.array([[float(c) for c in row] for row in cells])
+        assert not strict_reads
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    @staticmethod
+    def bare_points(v):
+        # as Stata writes them: no 0 before the point, and integers
+        # ("%.17g" writes -0.0 as -0)
+        return [bare(repr(v)), "%.17g" % v, "%.17g" % -v, bare("%.15g" % v)]
+
+    @staticmethod
+    def signs(v):
+        # a sign on every cell, with or without a digit before the point
+        signed = "%+.17g" % v
+        return [signed, bare(signed), "%+.6e" % v,
+                repr(v) if repr(v)[0] == "-" else "+" + repr(v)]
+
+    @staticmethod
+    def signs_points_and_zeros(v):
+        # a sign on every cell, no digit before or after the point,
+        # leading zeros: float() reads them, JSON does not
+        text = repr(v)
+        unsigned = text.lstrip("-")
+        sign = "-" if text.startswith("-") else "+"
+        if unsigned.startswith("0."):
+            unsigned = unsigned[1:]
+        elif unsigned.endswith(".0"):
+            unsigned = unsigned[:-1]
+        return [text, sign + unsigned, "00" + repr(abs(v)),
+                "%d" % v if v == int(v) else text]
+
+    @pytest.mark.parametrize("style", ["bare_points", "signs",
+                                       "signs_points_and_zeros"])
+    def test_cells_json_does_not_take_are_read_as_float_reads_them(
+            self, style, strict_reads):
+        rng = np.random.default_rng(28)
+        values = rng.standard_normal(20_000) * 10.0 ** rng.integers(
+            -5, 6, size=20_000)
+        values[::97] = np.trunc(values[::97])
+        values[::101] = -0.0
+        cells = [getattr(self, style)(v) for v in values.tolist()]
+        text = "a,b,c,d\n" + "".join(",".join(row) + "\n" for row in cells)
+        got = read_csv(io.StringIO(text)).values
+        want = np.array([[float(c) for c in row] for row in cells])
+        assert not strict_reads
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    def test_written_negative_zero_stays_on_the_fast_path(self, strict_reads):
+        # write_csv formats -0.0 with '.17g' as "-0"
+        buf = io.StringIO()
+        data = Dataset(("a", "b"), np.array([[-0.0, 1.0], [2.0, -0.0]]))
+        write_csv(data, buf)
+        assert "-0\n" in buf.getvalue()
+        got = read_csv(io.StringIO(buf.getvalue())).values
+        assert not strict_reads
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      data.values.view(np.int64))
 
     @pytest.mark.parametrize("body", [b"3,\xe9\n", b"3,4\n" * 5000 + b"\xff,1\n"],
                              ids=["early", "past the first chunk"])
@@ -190,10 +356,7 @@ class TestFastPathFallback:
             def seekable(self):
                 return False
 
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("loadtxt read a non-seekable stream")
-
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        monkeypatch.setattr(transforms, "_read_blocks", no_block_reader)
         assert outcome(lambda: read_csv(Pipe(CSV))) == strict_outcome(CSV)
         with pytest.raises(MissingValue):
             read_csv(Pipe("a,b\n1,\n"))
@@ -205,15 +368,12 @@ class TestFastPathFallback:
             def tell(self):
                 raise OSError("no position")
 
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("loadtxt read a stream it cannot rewind")
-
         rng = np.random.default_rng(2)
         buf = io.StringIO()
         write_csv(Dataset(("a", "b", "c"), rng.standard_normal((30, 3))), buf)
         text = buf.getvalue()
         fast = outcome(lambda: read_csv(io.StringIO(text)))
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        monkeypatch.setattr(transforms, "_read_blocks", no_block_reader)
         got = outcome(lambda: read_csv(NoTell(text)))
         assert got == strict_outcome(text) == fast
 
